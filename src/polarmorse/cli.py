@@ -6,7 +6,8 @@ the result with the numeric oracle, and prints the report as text or
 canonical JSON.
 
 Exit codes: 0 success; 2 parse error; 3 genericity exhausted;
-4 oracle mismatch; 1 internal invariant violation.
+4 oracle mismatch; 5 extension tower over the degree cap;
+1 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .fields import rat
+from .fields import ExtensionTooLarge, rat
 from .poly import PolyParseError, parse_poly
 from .polar import GenericityError, LinearForm
 from .morse import analyze_symbolic
@@ -28,6 +29,7 @@ EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_GENERICITY = 3
 EXIT_MISMATCH = 4
+EXIT_TOWER = 5
 
 
 def _parse_ell(text):
@@ -100,6 +102,9 @@ def run(args):
     except GenericityError as exc:
         print("genericity failure: %s" % exc, file=sys.stderr)
         return EXIT_GENERICITY
+    except ExtensionTooLarge as exc:
+        print("extension too large: %s" % exc, file=sys.stderr)
+        return EXIT_TOWER
     except ValueError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -422,15 +422,6 @@ class ExtensionField:
         return "%r(%s deg %d)" % (self.base, self.name, self.degree)
 
 
-def common_field(f1, f2):
-    """The higher of two fields in the same tower, or None if unrelated."""
-    l1, l2 = [QQ] + f1.levels(), [QQ] + f2.levels()
-    if len(l1) < len(l2):
-        l1, l2 = l2, l1
-        f1, f2 = f2, f1
-    return f1 if l1[: len(l2)] == l2 else None
-
-
 def coerce(field, src_field, x):
     """Lift x from src_field into field (which must contain it)."""
     if field is src_field:

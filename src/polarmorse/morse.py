@@ -19,15 +19,14 @@ which is computed independently on every branch and asserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import mpmath
 
 from .fields import RationalField, coerce, rat
 from .poly import Poly, minpoly_over
-from .polar import (AffinePointClass, GenericityError, InfinityPointClass,
-                    LinearForm, check_genericity, draw_generic_ell,
-                    infinity_points, polar_equation, singular_locus)
+from .polar import (GenericityError, LinearForm, check_genericity,
+                    draw_generic_ell, polar_equation, singular_locus)
 from .puiseux import (DegenerateComposition, INFINITE, expand_branches,
                       poly_at_series, series_order_after_limit)
 from .series import LaurentSeries, SeriesPrecisionLoss
@@ -86,7 +85,7 @@ def safety_bound(f, polar):
     return d * (2 * d - 1) + d + 1
 
 
-def _component_candidates(polar, sing, ell):
+def _component_candidates(polar, sing):
     """Candidate attractors on one-dimensional components of Sing f.
 
     Every Morse-point trajectory stays on the polar curve, so its affine
@@ -116,7 +115,7 @@ def _on_polar(polar, points):
             yield p
 
 
-def affine_candidates(f, polar, sing, ell):
+def affine_candidates(polar, sing):
     """Points of Sing f that can absorb Morse points: isolated singular
     points lying on the polar curve, plus critical points of ell
     restricted to one-dimensional components of Sing f (including
@@ -125,7 +124,7 @@ def affine_candidates(f, polar, sing, ell):
     if polar.is_empty():
         return []
     cands = list(sing.isolated_points)
-    extra = _component_candidates(polar, sing, ell)
+    extra = _component_candidates(polar, sing)
     seen = {_point_key(p) for p in cands}
     for p in extra:
         k = _point_key(p)
@@ -320,9 +319,9 @@ def compute_attractors(f, ell, polar, sing):
     """All attractor records for an accepted (f, ell)."""
     bound = safety_bound(f, polar)
     out = []
-    for p in affine_candidates(f, polar, sing, ell):
+    for p in affine_candidates(polar, sing):
         out.append(affine_index(f, ell, polar, p, bound=bound))
-    for ip in infinity_points(polar):
+    for ip in polar.infinity_points:
         out.extend(infinity_index(f, ell, polar, ip, bound=bound))
     return out
 
@@ -417,35 +416,41 @@ def build_report(f, ell, genericity, attractors, verdict=None):
 
 def analyze_symbolic(f, ell=None, seed=0, max_redraws=16):
     """Full symbolic pipeline: choose/accept ell, certify genericity,
-    expand all attractors, and assemble the report."""
+    expand all attractors, and assemble the report.
+
+    The candidates are the given ``ell`` alone, or else the seeded draws
+    of ``draw_generic_ell``.  A candidate that fails the genericity
+    checks, or whose compositions degenerate, gives way to the next one;
+    ``redraws`` of the accepted report is the index of its draw."""
     if f.is_constant():
         raise ValueError("a constant polynomial has no Morse points")
     sing = singular_locus(f)
     explicit = ell is not None
-    attempts = 1 if explicit else max_redraws
-    last_report = None
-    for i in range(attempts):
-        if explicit:
-            cand = ell
-            report = check_genericity(f, cand, sing=sing)
-        else:
-            cand, report = draw_generic_ell(f, seed + i, max_redraws=max_redraws)
-            report.seed = seed
-            report.redraws = i
-        last_report = report
-        if not (report.polar_squarefree and report.ell_avoids_infinity_points):
-            if explicit:
-                raise GenericityError("the given linear form fails the "
-                                      "genericity checks", report)
-            continue
+    if explicit:
+        candidates, seed = [(0, ell)], None
+    else:
+        candidates = draw_generic_ell(seed, max_redraws)
+    report = None
+    for i, cand in candidates:
         polar = polar_equation(f, cand)
+        report = check_genericity(cand, sing, polar)
+        report.redraws = i
+        report.seed = seed
+        if not report.accepted():
+            continue
         try:
             attractors = compute_attractors(f, cand, polar, sing)
         except DegenerateComposition:
             report.no_degenerate_compositions = False
-            if explicit:
-                raise GenericityError("compositions degenerate for the given "
-                                      "linear form", report)
             continue
         return build_report(f, cand, report, attractors)
-    raise GenericityError("no generic linear form accepted", last_report)
+    degenerate = report is not None and not report.no_degenerate_compositions
+    if explicit:
+        msg = ("compositions degenerate for the given linear form" if degenerate
+               else "the given linear form fails the genericity checks")
+    elif degenerate:
+        msg = "no generic linear form accepted"
+    else:
+        msg = "no generic linear form found in %d draws (seed %s)" % (
+            max_redraws, seed)
+    raise GenericityError(msg, report)

@@ -12,7 +12,7 @@ at infinity must avoid the ends of both the polar curve and Sing f.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .fields import ExtensionField, RationalField, coerce, fresh_name, rat
 from .poly import (Poly, divides, exact_div, factor_qq, factor_univariate,
@@ -90,6 +90,7 @@ class PolarCurve:
     equation: Poly
     degree: int
     infinity_points: tuple
+    squarefree: bool           # the raw polar a*f_y - b*f_x is squarefree
 
     def is_empty(self):
         return self.equation.is_constant()
@@ -119,18 +120,6 @@ def _raw_polar(f, ell):
     return fy.scale(rat(ell.a)) - fx.scale(rat(ell.b))
 
 
-def _removed_factors(raw, fx, fy):
-    """Factors of ``raw`` kept/removed by the Sing-f divisibility test."""
-    _c, facs = factor_qq(raw)
-    kept, removed = [], []
-    for fac, m in facs:
-        if divides(fac, fx) and divides(fac, fy):
-            removed.append((fac, m))
-        else:
-            kept.append((fac, m))
-    return kept, removed
-
-
 def _root_class(px, base):
     """Field and root element for one irreducible univariate factor."""
     d = px.degree_in(0)
@@ -154,19 +143,31 @@ def _eval_var(p, target, value, var):
 
 
 def polar_equation(f, ell):
-    """The polar curve of f with respect to ell."""
+    """The polar curve of f with respect to ell.
+
+    The raw polar a*f_y - b*f_x is factored once: the factors dividing
+    both partials are dropped, the others make up the equation, and the
+    multiplicities give the ``squarefree`` flag.  A raw polar that
+    vanishes identically (f a polynomial in ell) gives the zero equation.
+    """
     if f.is_constant():
         raise ValueError("polar curve of a constant polynomial")
     raw = _raw_polar(f, ell)
-    if raw.is_zero() or raw.is_constant():
-        return PolarCurve(Poly.const(QQ, 2, rat(1)), 0, ())
-    kept, _removed = _removed_factors(raw, f.diff(0), f.diff(1))
+    if raw.is_zero():
+        return PolarCurve(raw, 0, (), False)
     eq = Poly.const(QQ, 2, rat(1))
-    for fac, _m in kept:
-        eq = eq * fac
+    if raw.is_constant():
+        return PolarCurve(eq, 0, (), True)
+    fx, fy = f.diff(0), f.diff(1)
+    _c, facs = factor_qq(raw)
+    for fac, _m in facs:
+        if not (divides(fac, fx) and divides(fac, fy)):
+            eq = eq * fac
+    squarefree = all(m == 1 for _fac, m in facs)
     if eq.is_constant():
-        return PolarCurve(eq, 0, ())
-    return PolarCurve(eq, eq.total_degree(), tuple(_top_form_roots(eq)))
+        return PolarCurve(eq, 0, (), squarefree)
+    return PolarCurve(eq, eq.total_degree(), tuple(_top_form_roots(eq)),
+                      squarefree)
 
 
 def _top_form_roots(eq):
@@ -184,11 +185,6 @@ def _top_form_roots(eq):
             fld, u0 = _root_class(fac, QQ)
             out.append(InfinityPointClass(fld, u0, m, fac.degree_in(0)))
     return out
-
-
-def infinity_points(polar):
-    """Roots of the top form of the polar equation, with multiplicities."""
-    return list(polar.infinity_points)
 
 
 def singular_locus(f):
@@ -256,53 +252,28 @@ def _common_zeros(g1, g2, exclude=None):
     return out
 
 
-def check_genericity(f, ell, sing=None, polar=None):
-    """A-posteriori genericity flags for a candidate linear form."""
-    if f.is_constant():
-        raise ValueError("polar curve of a constant polynomial")
-    raw = _raw_polar(f, ell)
-    if raw.is_zero():
+def check_genericity(ell, sing, polar):
+    """A-posteriori genericity flags for a candidate linear form, given
+    Sing f and the polar curve of (f, ell)."""
+    if polar.equation.is_zero():
         return GenericityReport(False, False)
-    if sing is None:
-        sing = singular_locus(f)
-    if raw.is_constant():
-        squarefree = True
-        polar = polar if polar is not None else polar_equation(f, ell)
-    else:
-        _c, facs = factor_qq(raw)
-        squarefree = all(m == 1 for _fac, m in facs)
-        polar = polar if polar is not None else polar_equation(f, ell)
     # the point {ell = 0} ∩ {z = 0} is [b : -a : 0]
     pb, pa = rat(ell.b), QQ.neg(rat(ell.a))
-    avoided = True
     forms = [] if polar.is_empty() else [polar.equation]
     forms += list(sing.one_dim_components)
-    for g in forms:
-        top = g.top_form()
-        if QQ.is_zero(top.eval((pb, pa))):
-            avoided = False
-            break
-    return GenericityReport(squarefree, avoided)
+    avoided = not any(QQ.is_zero(g.top_form().eval((pb, pa))) for g in forms)
+    return GenericityReport(polar.squarefree, avoided)
 
 
-def draw_generic_ell(f, seed, max_redraws=16):
-    """Seeded random small-height linear forms until one passes the checks."""
+def draw_generic_ell(seed, max_redraws):
+    """The seeded candidate linear forms, as (draw index, form): at most
+    ``max_redraws`` small-height draws from one ``random.Random(seed)``
+    sequence.  A draw of the zero form is counted but not yielded."""
     if max_redraws < 1:
         raise ValueError("max_redraws must be at least 1")
     rng = random.Random(seed)
-    sing = singular_locus(f)
-    report = None
     for i in range(max_redraws):
         a = rat(rng.randint(-97, 97), rng.randint(1, 97))
         b = rat(rng.randint(-97, 97), rng.randint(1, 97))
-        if a == 0 and b == 0:
-            continue
-        ell = LinearForm(a, b, provenance="seeded-random(%s,%d)" % (seed, i))
-        report = check_genericity(f, ell, sing=sing)
-        report.redraws = i
-        report.seed = seed
-        if report.polar_squarefree and report.ell_avoids_infinity_points:
-            return ell, report
-    raise GenericityError(
-        "no generic linear form found in %d draws (seed %s)" % (max_redraws, seed),
-        report)
+        if a != 0 or b != 0:
+            yield i, LinearForm(a, b, provenance="seeded-random(%s,%d)" % (seed, i))

@@ -265,22 +265,6 @@ def branch_residual(F, branch):
     return poly_at_series(Fb, (branch.x_series, branch.y_series))
 
 
-def compose_on_branch(num, den, branch):
-    """Laurent expansion of num/den along the branch.
-
-    ``den`` may be None for a polynomial composition.  Raises
-    SeriesPrecisionLoss when the order cannot be certified at the branch
-    truncation (caller should re-expand deeper), and DegenerateComposition
-    if the numerator vanishes identically on the branch.
-    """
-    bf = branch.field
-    top = poly_at_series(num.to_field(bf), (branch.x_series, branch.y_series))
-    if den is None:
-        return top
-    bot = poly_at_series(den.to_field(bf), (branch.x_series, branch.y_series))
-    return top / bot
-
-
 def series_order_after_limit(series):
     """Limit value and order convention for f along an escaping arc.
 

@@ -1,8 +1,18 @@
 import json
+import pathlib
 
 import pytest
 
 from polarmorse import cli
+from polarmorse.fields import rat
+from polarmorse.morse import analyze_symbolic
+from polarmorse.polar import LinearForm
+from polarmorse.poly import parse_poly
+from polarmorse.report import to_json
+
+DATA = pathlib.Path(__file__).parent / "data"
+GOLDENS = {"cubic": "x + x^2*y", "quintic": "x*y + 1/3*x^3*y^2",
+           "sextic": "x*y + 1/3*x^3*y^2 + x^6"}
 
 
 def run_cli(capsys, *argv):
@@ -101,3 +111,22 @@ def test_decimal_to_rat_exact():
     assert cli._decimal_to_rat("0.25") == (25, 100)
     assert cli._decimal_to_rat("2.5e1") == (25, 1)
     assert cli._decimal_to_rat("3") == (3, 1)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDENS))
+def test_canonical_json_pinned(name):
+    # tests/data/<name>.json is the output of
+    # polarmorse --f <golden> --ell "x + y" --format json
+    f = parse_poly(GOLDENS[name], cli.VARIABLES)
+    report = analyze_symbolic(f, ell=LinearForm(rat(1), rat(1)))
+    expected = (DATA / ("%s.json" % name)).read_text()
+    assert to_json(report, cli.VARIABLES) + "\n" == expected
+
+
+def test_tower_over_cap_exit_code(capsys):
+    code, out, err = run_cli(capsys, "--f",
+                             "x^6 + y^6 + x^2*y + 3*x*y^2 + x + 2*y",
+                             "--ell", "x + 2*y")
+    assert code == cli.EXIT_TOWER == 5
+    assert out == ""
+    assert err.startswith("extension too large: ") and err.count("\n") == 1

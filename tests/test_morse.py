@@ -1,12 +1,15 @@
+import random
+
 import pytest
 
+from polarmorse import morse, polar
 from polarmorse.fields import RationalField, rat
 from polarmorse.poly import parse_poly
 from polarmorse.polar import GenericityError, LinearForm, polar_equation, singular_locus
 from polarmorse.morse import (affine_candidates, affine_index, analyze_symbolic,
                               build_report, chart_center, expand_individuals,
                               infinity_index, total_morse_number)
-from polarmorse.puiseux import INFINITE
+from polarmorse.puiseux import INFINITE, DegenerateComposition
 
 QQ = RationalField()
 V = ("x", "y")
@@ -60,7 +63,7 @@ def test_sextic_report(sextic_eight, ell_xy):
 def test_affine_candidates_restricted_to_polar(quintic_node, ell_xy):
     polar = polar_equation(quintic_node, ell_xy)
     sing = singular_locus(quintic_node)
-    cands = affine_candidates(quintic_node, polar, sing, ell_xy)
+    cands = affine_candidates(polar, sing)
     assert len(cands) == 1
     assert cands[0].x == rat(0) and cands[0].y == rat(0)
 
@@ -152,3 +155,120 @@ def test_report_sorted_affine_first(sextic_eight, ell_xy):
 def test_zero_index_attractors_retained(cubic_tail, ell_xy):
     rep = analyze_symbolic(cubic_tail, ell=ell_xy)
     assert any(a.index == 0 for a in rep.attractors)
+
+
+def nth_draw(seed, k):
+    """(a, b) of the k-th (0-based) linear form drawn from Random(seed)."""
+    rng = random.Random(seed)
+    for _ in range(k + 1):
+        a = rat(rng.randint(-97, 97), rng.randint(1, 97))
+        b = rat(rng.randint(-97, 97), rng.randint(1, 97))
+    return a, b
+
+
+def patch_everywhere(monkeypatch, name, wrap):
+    """Replace polar's ``name`` by ``wrap(original)`` in polar and morse."""
+    new = wrap(getattr(polar, name))
+    for mod in (polar, morse):
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, new)
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+
+    def wrap(orig):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return orig(*args, **kwargs)
+        return counted
+
+    patch_everywhere(monkeypatch, name, wrap)
+    return calls
+
+
+def test_genericity_layer_computes_each_object_once(monkeypatch):
+    sing = count_calls(monkeypatch, "singular_locus")
+    polars = count_calls(monkeypatch, "polar_equation")
+    checks = count_calls(monkeypatch, "check_genericity")
+    rep = analyze_symbolic(parse_poly("(x+y)^2*(x-2*y+1)", V), seed=0)
+    assert len(sing) == 1
+    assert len(polars) == len(checks) == rep.genericity.redraws + 1
+
+
+def test_rejected_first_draw_is_counted(monkeypatch, cubic_tail):
+    orig = morse.check_genericity
+    calls = []
+
+    def reject_first(*args, **kwargs):
+        report = orig(*args, **kwargs)
+        calls.append(report)
+        if len(calls) == 1:
+            report.polar_squarefree = False
+        return report
+
+    monkeypatch.setattr(morse, "check_genericity", reject_first)
+    rep = analyze_symbolic(cubic_tail, seed=5)
+    assert rep.genericity.redraws == 1
+    assert rep.genericity.seed == 5
+    assert (rep.ell.a, rep.ell.b) == nth_draw(5, 1)
+
+
+def test_degenerate_composition_takes_next_draw(monkeypatch, cubic_tail):
+    orig = morse.compute_attractors
+    tried = []
+
+    def degenerate_first(f, ell, polar_curve, sing):
+        tried.append((ell.a, ell.b))
+        if len(tried) == 1:
+            raise DegenerateComposition("forced")
+        return orig(f, ell, polar_curve, sing)
+
+    monkeypatch.setattr(morse, "compute_attractors", degenerate_first)
+    rep = analyze_symbolic(cubic_tail, seed=5)
+    assert tried == [nth_draw(5, 0), nth_draw(5, 1)]
+    assert rep.genericity.redraws == 1
+    assert rep.genericity.no_degenerate_compositions
+
+
+def test_redraw_budget_counts_every_candidate(monkeypatch, cubic_tail):
+    # every other candidate fails the checks, every accepted one degenerates
+    checks = []
+
+    def reject_odd(orig):
+        def check(*args, **kwargs):
+            report = orig(*args, **kwargs)
+            checks.append(report)
+            if len(checks) % 2 == 1:
+                report.ell_avoids_infinity_points = False
+            return report
+        return check
+
+    def degenerate(*_args):
+        raise DegenerateComposition("forced")
+
+    patch_everywhere(monkeypatch, "check_genericity", reject_odd)
+    monkeypatch.setattr(morse, "compute_attractors", degenerate)
+    with pytest.raises(GenericityError, match="no generic linear form accepted") as exc:
+        analyze_symbolic(cubic_tail, seed=5, max_redraws=4)
+    assert len(checks) == 4
+    assert exc.value.report is checks[-1]
+    assert exc.value.report.redraws == 3
+    assert not exc.value.report.no_degenerate_compositions
+
+
+def test_redraw_budget_exhausted_by_rejections(monkeypatch, cubic_tail):
+    checks = []
+
+    def reject_all(orig):
+        def check(*args, **kwargs):
+            report = orig(*args, **kwargs)
+            checks.append(report)
+            report.polar_squarefree = False
+            return report
+        return check
+
+    patch_everywhere(monkeypatch, "check_genericity", reject_all)
+    with pytest.raises(GenericityError, match=r"found in 3 draws \(seed 5\)"):
+        analyze_symbolic(cubic_tail, seed=5, max_redraws=3)
+    assert len(checks) == 3

@@ -2,8 +2,7 @@ import pytest
 
 from polarmorse.fields import RationalField, rat
 from polarmorse.poly import divides, parse_poly
-from polarmorse.polar import (GenericityError, LinearForm, check_genericity,
-                              draw_generic_ell, infinity_points,
+from polarmorse.polar import (LinearForm, check_genericity, draw_generic_ell,
                               polar_equation, singular_locus)
 
 QQ = RationalField()
@@ -50,13 +49,13 @@ def test_polar_factors_divide_raw_and_not_both_partials(sextic_eight, ell_xy):
 
 
 def test_infinity_points_cubic(cubic_tail, ell_xy):
-    pts = infinity_points(polar_equation(cubic_tail, ell_xy))
+    pts = polar_equation(cubic_tail, ell_xy).infinity_points
     reps = sorted(p.coords_str() for p in pts)
     assert reps == ["[0 : 1 : 0]", "[2 : 1 : 0]"]
 
 
 def test_infinity_points_quintic(quintic_node, ell_xy):
-    pts = infinity_points(polar_equation(quintic_node, ell_xy))
+    pts = polar_equation(quintic_node, ell_xy).infinity_points
     reps = sorted(p.coords_str() for p in pts)
     assert reps == ["[0 : 1 : 0]", "[1 : 0 : 0]", "[3/2 : 1 : 0]"]
 
@@ -103,36 +102,55 @@ def test_one_dim_component_detected():
     assert sl.one_dim_components[0].total_degree() == 1
 
 
+def genericity(f, ell):
+    return check_genericity(ell, singular_locus(f), polar_equation(f, ell))
+
+
 def test_genericity_accepts_good_pair(cubic_tail, ell_xy):
-    rep = check_genericity(cubic_tail, ell_xy)
+    rep = genericity(cubic_tail, ell_xy)
     assert rep.polar_squarefree and rep.ell_avoids_infinity_points
     assert rep.accepted()
 
 
 def test_genericity_rejects_nonreduced_polar():
-    rep = check_genericity(parse_poly("x^2*y", V), LinearForm(rat(1), rat(0)))
+    rep = genericity(parse_poly("x^2*y", V), LinearForm(rat(1), rat(0)))
     assert not rep.polar_squarefree
 
 
 def test_genericity_rejects_ell_through_infinity_point(cubic_tail):
     # polar top form for ell = x: x^2 - 0 has the root [0:1:0] = [b:-a:0]
-    rep = check_genericity(cubic_tail, LinearForm(rat(1), rat(0)))
+    rep = genericity(cubic_tail, LinearForm(rat(1), rat(0)))
     assert not rep.ell_avoids_infinity_points
 
 
-def test_draw_is_deterministic(cubic_tail):
-    e1, r1 = draw_generic_ell(cubic_tail, 7)
-    e2, r2 = draw_generic_ell(cubic_tail, 7)
-    assert (e1.a, e1.b) == (e2.a, e2.b)
-    assert r1.redraws == r2.redraws
-    e3, _ = draw_generic_ell(cubic_tail, 8)
-    assert (e3.a, e3.b) != (e1.a, e1.b)
+def test_draw_is_deterministic():
+    def draws(seed):
+        return [(i, e.a, e.b) for i, e in draw_generic_ell(seed, 16)]
+
+    assert draws(7) == draws(7)
+    assert [i for i, _a, _b in draws(7)] == list(range(16))
+    assert draws(8)[0][1:] != draws(7)[0][1:]
 
 
-def test_draw_height_bound(cubic_tail):
-    ell, _ = draw_generic_ell(cubic_tail, 3)
-    for c in (ell.a, ell.b):
-        assert abs(c.numerator) <= 97 and 1 <= c.denominator <= 97
+def test_draw_height_bound():
+    for _i, ell in draw_generic_ell(3, 16):
+        for c in (ell.a, ell.b):
+            assert abs(c.numerator) <= 97 and 1 <= c.denominator <= 97
+
+
+def test_polar_records_squarefree_flag(ell_xy):
+    assert polar_equation(parse_poly("x^2 + y^2", V), ell_xy).squarefree
+    pc = polar_equation(parse_poly("x^2*y", V), LinearForm(rat(1), rat(0)))
+    assert not pc.squarefree
+
+
+def test_polar_of_a_function_of_ell_is_zero():
+    f = parse_poly("(x + 2*y)^3 + x + 2*y", V)
+    ell = LinearForm(rat(1), rat(2))
+    pc = polar_equation(f, ell)
+    assert pc.equation.is_zero() and not pc.squarefree
+    rep = check_genericity(ell, singular_locus(f), pc)
+    assert not (rep.polar_squarefree or rep.ell_avoids_infinity_points)
 
 
 def test_polar_constant_rejected(ell_xy):

@@ -6,10 +6,9 @@ import pytest
 from polarmorse.fields import RationalField, rat
 from polarmorse.poly import Poly, factor_qq, parse_poly, resultant, squarefree_part
 from polarmorse.polar import _root_class
-from polarmorse.puiseux import (branch_residual, compose_on_branch,
-                                count_vanishing_solutions, expand_branches,
-                                newton_polygon, series_order_after_limit,
-                                INFINITE)
+from polarmorse.puiseux import (branch_residual, count_vanishing_solutions,
+                                expand_branches, newton_polygon,
+                                series_order_after_limit, INFINITE)
 from polarmorse.series import poly_at_series
 
 QQ = RationalField()
@@ -113,12 +112,16 @@ def test_expand_at_shifted_center():
 def test_compose_and_limit():
     F = parse_poly("y^2 - x^3", V)
     b = expand_branches(F, target_order=12)[0]
-    num = parse_poly("x*y", V)
-    ser = compose_on_branch(num, None, b)
+
+    def on_branch(text):
+        return poly_at_series(parse_poly(text, V).to_field(b.field),
+                              (b.x_series, b.y_series))
+
+    ser = on_branch("x*y")
     assert ser.order() == 5
     alpha, order = series_order_after_limit(ser)
     assert alpha == rat(0) and order == 5
-    ratio = compose_on_branch(parse_poly("1", V), parse_poly("x", V), b)
+    ratio = on_branch("1") / on_branch("x")
     alpha, order = series_order_after_limit(ratio)
     assert alpha is INFINITE and order == -2
 

@@ -112,23 +112,21 @@ def run(args):
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
 
-    code = EXIT_OK
-    if args.verify:
-        try:
-            verdict = classify_trajectories(f, report.ell, schedule, report,
-                                            precision=args.precision)
-        except (ArithmeticError, ValueError) as exc:
-            print("internal error: %s" % exc, file=sys.stderr)
-            return EXIT_INTERNAL
-        report.verification = verdict
-        if not verdict.matched:
-            code = EXIT_MISMATCH
-
-    if args.format == "json":
-        print(to_json(report, VARIABLES))
-    else:
-        print(to_text(report, VARIABLES), end="")
-    return code
+    try:
+        if args.verify:
+            report.verification = classify_trajectories(
+                f, report.ell, schedule, report, precision=args.precision)
+        if args.format == "json":
+            text = to_json(report, VARIABLES) + "\n"
+        else:
+            text = to_text(report, VARIABLES)
+    except (ArithmeticError, AssertionError, ValueError) as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return EXIT_INTERNAL
+    print(text, end="")
+    if args.verify and not report.verification.matched:
+        return EXIT_MISMATCH
+    return EXIT_OK
 
 
 def main(argv=None):

@@ -15,18 +15,9 @@ from fractions import Fraction
 
 import mpmath
 
-try:
-    from gmpy2 import mpq as _mpq
 
-    def rat(num, den=1):
-        return _mpq(num, den)
-
-    RAT_TYPES = (type(_mpq(0)), Fraction, int)
-except ImportError:  # pragma: no cover - gmpy2 is normally available
-    def rat(num, den=1):
-        return Fraction(num, den)
-
-    RAT_TYPES = (Fraction, int)
+def rat(num, den=1):
+    return Fraction(num, den)
 
 
 #: Largest allowed total degree of an extension tower over Q.  Desk-scale

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .fields import RationalField, coerce, rat
+from .fields import RationalField, _poly_roots, coerce, rat
 from .poly import Poly, minpoly_over
 from .polar import (GenericityError, LinearForm, check_genericity,
                     draw_generic_ell, polar_equation, singular_locus)
@@ -76,6 +76,7 @@ class MorseReport:
     degree: int
     genericity: object
     attractors: list
+    individuals: list          # expand_individuals(attractors)
     morse_number: int
     verification: object = None
 
@@ -99,13 +100,16 @@ def _component_candidates(polar, sing):
     return out
 
 
+def _numeric_key(values):
+    """Sort and dedup key of complex values, to 25 significant digits."""
+    return tuple((mpmath.nstr(v.real, 25), mpmath.nstr(v.imag, 25))
+                 for v in values)
+
+
 def _point_key(p):
     """Numeric dedup key for an affine point class (canonical embedding)."""
     with mpmath.workdps(40):
-        zx = p.field.to_mpc(p.x)
-        zy = p.field.to_mpc(p.y)
-        return (mpmath.nstr(zx.real, 18), mpmath.nstr(zx.imag, 18),
-                mpmath.nstr(zy.real, 18), mpmath.nstr(zy.imag, 18))
+        return _numeric_key((p.field.to_mpc(p.x), p.field.to_mpc(p.y)))
 
 
 def _on_polar(polar, points):
@@ -134,10 +138,14 @@ def affine_candidates(polar, sing):
     return list(_on_polar(polar, cands))
 
 
-def _expand_retry(germ, compute, start_order, bound):
+def _expand_retry(germ, compute, bound):
     """Run ``compute`` on branch expansions, doubling the truncation on
-    precision loss up to the safety bound."""
-    target = start_order
+    precision loss up to the safety bound.
+
+    Orders are certified at every truncation (a loss raises
+    SeriesPrecisionLoss), so starting low costs only the doublings that a
+    germ really needs."""
+    target = 4
     while True:
         branches = expand_branches(germ, target_order=target)
         try:
@@ -181,7 +189,7 @@ def affine_index(f, ell, polar, pcls, bound=None):
                                                br.conj_multiplicity))
         return contribs
 
-    contribs = _expand_retry(germ, compute, 2 * germ.total_degree() + 2, bound)
+    contribs = _expand_retry(germ, compute, bound)
     index = sum(c.contribution * c.conj_multiplicity for c in contribs)
     mp = minpoly_over(L, fp, QQ) if L is not QQ else None
     return Attractor("affine", pcls, None, "finite", L, fp, mp,
@@ -262,7 +270,7 @@ def infinity_index(f, ell, polar, ipcls, chart=None, bound=None):
                                             max(0, c), br.conj_multiplicity)))
         return data
 
-    data = _expand_retry(germ, compute, 2 * germ.total_degree() + 2, bound)
+    data = _expand_retry(germ, compute, bound)
     # group branches by the limit value alpha (as an orbit over K)
     groups = {}
     for br, alpha, contrib in data:
@@ -358,60 +366,46 @@ class IndividualAttractor:
 
 
 def expand_individuals(attractors):
-    """Expand orbit records into individual attractors, deterministically."""
+    """Expand orbit records into individual attractors, deterministically.
+
+    An orbit has one location per embedding of its point field.  A finite
+    alpha outside that field contributes, at each embedding, every root of
+    its minimal polynomial over the point field."""
     out = []
     with mpmath.workdps(40):
         for a in attractors:
-            if a.kind == "affine":
-                embs = sorted(a.point.field.embeddings(),
-                              key=lambda e: [(mpmath.nstr(v.real, 25),
-                                              mpmath.nstr(v.imag, 25)) for v in e])
-                assert len(embs) == a.n_points
-                for emb in embs:
-                    loc = (a.point.field.to_mpc(a.point.x, emb),
-                           a.point.field.to_mpc(a.point.y, emb))
-                    out.append(IndividualAttractor(
-                        a, loc, a.alpha_field.to_mpc(a.alpha_value, emb), a.index))
-                continue
             K = a.point.field
-            embs = sorted(K.embeddings(),
-                          key=lambda e: [(mpmath.nstr(v.real, 25),
-                                          mpmath.nstr(v.imag, 25)) for v in e])
-            for emb in embs:
-                if a.point.u is None:
+            alpha_mp = None
+            if a.alpha_kind == "finite" and a.alpha_field is not K:
+                alpha_mp = minpoly_over(a.alpha_field, a.alpha_value, K)
+            first = len(out)
+            for emb in sorted(K.embeddings(), key=_numeric_key):
+                if a.kind == "affine":
+                    loc = (K.to_mpc(a.point.x, emb), K.to_mpc(a.point.y, emb))
+                elif a.point.u is None:
                     loc = ("x-point",)
                 else:
                     loc = (K.to_mpc(a.point.u, emb),)
                 if a.alpha_kind == "infinite":
-                    out.append(IndividualAttractor(a, loc, INFINITE, a.index))
-                    continue
-                mp = _alpha_minpoly_over_point_field(a)
-                if mp is None:
-                    # alpha lives in the point field: follow the embedding
-                    out.append(IndividualAttractor(
-                        a, loc, K.to_mpc(a.alpha_value, emb), a.index))
-                    continue
-                coeffs = [K.to_mpc(c, emb) for c in reversed(mp.coeffs_in(0))]
-                from .fields import _poly_roots
-                for r in _poly_roots(coeffs):
-                    out.append(IndividualAttractor(a, loc, r, a.index))
-    assert len(out) == sum(a.n_points for a in attractors)
+                    alphas = [INFINITE]
+                elif alpha_mp is None:
+                    alphas = [K.to_mpc(a.alpha_value, emb)]
+                else:
+                    alphas = _poly_roots([K.to_mpc(c, emb)
+                                          for c in alpha_mp.coeffs_in(0)])
+                out.extend(IndividualAttractor(a, loc, al, a.index)
+                           for al in alphas)
+            assert len(out) - first == a.n_points, (
+                "orbit of %d points expanded to %d individuals"
+                % (a.n_points, len(out) - first))
     return out
-
-
-def _alpha_minpoly_over_point_field(a):
-    """Minimal polynomial of alpha over the point's field, or None when
-    alpha already lives there (rational over the point field)."""
-    K = a.point.field
-    if a.alpha_field is K:
-        return None
-    return minpoly_over(a.alpha_field, a.alpha_value, K)
 
 
 def build_report(f, ell, genericity, attractors, verdict=None):
     attractors = sorted(attractors, key=_attractor_sort_key)
-    return MorseReport(f, ell, f.total_degree(), genericity,
-                       attractors, total_morse_number(attractors), verdict)
+    return MorseReport(f, ell, f.total_degree(), genericity, attractors,
+                       expand_individuals(attractors),
+                       total_morse_number(attractors), verdict)
 
 
 def analyze_symbolic(f, ell=None, seed=0, max_redraws=16):

@@ -201,8 +201,6 @@ def _refine_schedule(schedule):
 
 def classify_trajectories(f, ell, schedule, report, precision=256):
     """Track critical points along the schedule and diff against the report."""
-    from .morse import expand_individuals
-
     schedule = [rat(t) for t in schedule]
     if len(schedule) < 3 or any(schedule[i] <= schedule[i + 1]
                                 for i in range(len(schedule) - 1)):
@@ -228,7 +226,7 @@ def classify_trajectories(f, ell, schedule, report, precision=256):
             tr.append(p)
         prev = cur
 
-    individuals = expand_individuals(report.attractors)
+    individuals = report.individuals
     t_min = fine[-1]
     r_affine = 10 * mpmath.sqrt(_to_mpf(t_min))
     ang_tol = 1e-3

@@ -1,11 +1,13 @@
 """Serialization of Morse reports: canonical JSON and readable text.
 
-Attractor orbits are expanded to individual attractors for output.
-Algebraic numbers serialize as an exact minimal polynomial over Q plus a
-floating approximation and a deterministic root index (roots of the
-minimal polynomial sorted lexicographically by (re, im)); rationals
-serialize as exact "p/q" strings.  JSON output is canonical (sorted
-keys, fixed float formatting), so identical runs are byte-identical.
+Each individual attractor of the report is one entry.  The exact data of
+an orbit (minimal polynomials over Q and their sorted roots) is computed
+once and shared by its conjugates.  Algebraic numbers serialize as an
+exact minimal polynomial over Q plus a floating approximation and a
+deterministic root index (roots of the minimal polynomial sorted
+lexicographically by (re, im)); rationals serialize as exact "p/q"
+strings.  JSON output is canonical (sorted keys, fixed float
+formatting), so identical runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -15,12 +17,9 @@ import json
 import mpmath
 
 from .fields import RationalField, _poly_roots
-from .poly import Poly, minpoly_over, poly_str
-from .puiseux import INFINITE
+from .poly import minpoly_over, poly_str
 
 QQ = RationalField()
-
-_DPS = 17
 
 
 def _f(x):
@@ -39,61 +38,38 @@ def _minpoly_str(mp):
     return poly_str(mp, ("T",))
 
 
-def _root_index(mp, approx):
-    """Index of ``approx`` among the sorted roots of a rational minpoly."""
+def _conjugates_json(mp, value):
+    """JSON encoder of the conjugates of one algebraic number.
+
+    ``mp`` is its minimal polynomial over Q, or None when ``value`` is
+    rational.  The minimal polynomial and its sorted roots are computed
+    here once; the returned function maps the approximation of one
+    conjugate to its JSON entry, whose root index is that of the nearest
+    root."""
+    if mp is not None and mp.degree_in(0) == 1:
+        value = QQ.neg(QQ.div(mp.constant_term(), mp.terms[(1,)]))
+        mp = None
+    if mp is None:
+        text = _rat_str(value)
+        return lambda approx: {"rational": text}
+    text = _minpoly_str(mp)
     with mpmath.workdps(40):
-        coeffs = [mpmath.mpf(int(c.numerator)) / mpmath.mpf(int(c.denominator))
-                  for c in reversed(mp.coeffs_in(0))]
-        roots = _poly_roots(coeffs)
-        best, bestd = 0, None
-        for k, r in enumerate(roots):
-            d = abs(r - approx)
-            if bestd is None or d < bestd:
-                best, bestd = k, d
-        return best
+        roots = _poly_roots([mpmath.mpf(c.numerator) / c.denominator
+                             for c in mp.coeffs_in(0)])
+
+    def encode(approx):
+        with mpmath.workdps(40):
+            k = min(range(len(roots)), key=lambda k: abs(roots[k] - approx))
+        return {"min_poly": text,
+                "approx": [_f(approx.real), _f(approx.imag)],
+                "root_index": k}
+    return encode
 
 
-def _algebraic_json(field, elem, approx):
-    """Encode one embedded value of a tower element."""
-    if field is QQ:
-        return {"rational": _rat_str(elem)}
-    mp = minpoly_over(field, elem, QQ)
-    if mp.degree_in(0) == 1:
-        c1 = mp.terms[(1,)]
-        c0 = mp.constant_term()
-        return {"rational": _rat_str(QQ.neg(QQ.div(c0, c1)))}
-    return {"min_poly": _minpoly_str(mp),
-            "approx": [_f(approx.real), _f(approx.imag)],
-            "root_index": _root_index(mp, approx)}
-
-
-def _location_json(ind):
-    a = ind.parent
-    if a.kind == "affine":
-        return {"type": "affine",
-                "point": [_algebraic_json(a.point.field, a.point.x, ind.location[0]),
-                          _algebraic_json(a.point.field, a.point.y, ind.location[1])],
-                "chart": None}
-    if ind.location == ("x-point",):
-        point = [{"rational": "1"}, {"rational": "0"}, {"rational": "0"}]
-    else:
-        point = [_algebraic_json(a.point.field, a.point.u, ind.location[0]),
-                 {"rational": "1"}, {"rational": "0"}]
-    return {"type": "infinity", "point": point, "chart": a.chart}
-
-
-def _alpha_json(ind):
-    a = ind.parent
-    if ind.alpha is INFINITE:
-        return {"type": "infinite"}
-    if a.kind == "affine":
-        return {"type": "finite",
-                "value": _algebraic_json(a.alpha_field, a.alpha_value, ind.alpha)}
-    if a.alpha_field is QQ:
-        return {"type": "finite",
-                "value": {"rational": _rat_str(a.alpha_value)}}
-    return {"type": "finite",
-            "value": _algebraic_json(a.alpha_field, a.alpha_value, ind.alpha)}
+def _coordinate_json(field, value):
+    """Encoder of the conjugates of one coordinate of an orbit's point."""
+    mp = minpoly_over(field, value, QQ) if field is not QQ else None
+    return _conjugates_json(mp, value)
 
 
 def _branch_json(c):
@@ -103,10 +79,39 @@ def _branch_json(c):
             "conj_multiplicity": c.conj_multiplicity}
 
 
+def _orbit_docs(a, individuals):
+    """JSON entries of the individual attractors of one orbit ``a``."""
+    p = a.point
+    if a.kind == "affine":
+        xs, ys = _coordinate_json(p.field, p.x), _coordinate_json(p.field, p.y)
+    elif p.u is not None:
+        us = _coordinate_json(p.field, p.u)
+    if a.alpha_kind == "finite":
+        alphas = _conjugates_json(a.alpha_minpoly, a.alpha_value)
+    out = []
+    for ind in individuals:
+        if a.kind == "affine":
+            location = {"type": "affine", "chart": None,
+                        "point": [xs(ind.location[0]), ys(ind.location[1])]}
+        elif p.u is None:
+            location = {"type": "infinity", "chart": a.chart,
+                        "point": [{"rational": "1"}, {"rational": "0"},
+                                  {"rational": "0"}]}
+        else:
+            location = {"type": "infinity", "chart": a.chart,
+                        "point": [us(ind.location[0]), {"rational": "1"},
+                                  {"rational": "0"}]}
+        if a.alpha_kind == "finite":
+            alpha = {"type": "finite", "value": alphas(ind.alpha)}
+        else:
+            alpha = {"type": "infinite"}
+        out.append({"location": location, "alpha": alpha, "index": ind.index,
+                    "branches": [_branch_json(c) for c in a.contributions]})
+    return out
+
+
 def report_to_doc(report, variables=("x", "y")):
     """MorseReport -> plain JSON-ready dictionary."""
-    from .morse import expand_individuals
-    individuals = expand_individuals(report.attractors)
     gen = report.genericity
     doc = {
         "input": {
@@ -123,11 +128,8 @@ def report_to_doc(report, variables=("x", "y")):
             "seed": gen.seed,
         },
         "attractors": [
-            {"location": _location_json(ind),
-             "alpha": _alpha_json(ind),
-             "index": ind.index,
-             "branches": [_branch_json(c) for c in ind.parent.contributions]}
-            for ind in individuals
+            entry for a in report.attractors for entry in _orbit_docs(
+                a, [ind for ind in report.individuals if ind.parent is a])
         ],
         "morse_number": report.morse_number,
         "verification": None,

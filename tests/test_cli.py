@@ -130,3 +130,15 @@ def test_tower_over_cap_exit_code(capsys):
     assert code == cli.EXIT_TOWER == 5
     assert out == ""
     assert err.startswith("extension too large: ") and err.count("\n") == 1
+
+
+def test_render_failure_is_internal_error(capsys, monkeypatch):
+    def broken(*args):
+        raise AssertionError("broken renderer")
+
+    monkeypatch.setattr(cli, "to_json", broken)
+    code, out, err = run_cli(capsys, "--f", "x + x^2*y", "--ell", "x + y",
+                             "--format", "json")
+    assert code == cli.EXIT_INTERNAL == 1
+    assert out == ""
+    assert err == "internal error: broken renderer\n"

@@ -141,6 +141,17 @@ def test_conjugate_expansion_counts(sextic_eight, ell_xy):
     assert sum(i.index for i in inds) == rep.morse_number
 
 
+def test_expand_individuals_with_alpha_zero():
+    # an infinity orbit whose alpha = 0 lies outside the point field: its
+    # minimal polynomial over the point field is T
+    f = parse_poly("-2/3*x^3*y^2 + 2/3*x^2*y + 2*x^5 - 3*x - 2/3*x^3", V)
+    rep = analyze_symbolic(f, seed=24)
+    inds = expand_individuals(rep.attractors)
+    assert len(inds) == sum(a.n_points for a in rep.attractors)
+    assert len(rep.individuals) == len(inds)
+    assert any(i.alpha == 0 for i in inds)
+
+
 def test_total_is_sum_of_orbit_totals(quintic_node, ell_xy):
     rep = analyze_symbolic(quintic_node, ell=ell_xy)
     assert rep.morse_number == total_morse_number(rep.attractors)

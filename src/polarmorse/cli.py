@@ -7,7 +7,9 @@ canonical JSON.
 
 Exit codes: 0 success; 2 parse error; 3 genericity exhausted;
 4 oracle mismatch; 5 extension tower over the degree cap;
-1 internal invariant violation.
+1 internal invariant violation.  A --t-schedule must hold at least 3
+positive, strictly decreasing values and --precision must be at least 1;
+otherwise the exit code is 2.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ def _parse_schedule(text):
         out.append(rat(*_decimal_to_rat(part)))
     if len(out) < 3:
         raise ValueError("the schedule needs at least 3 values")
+    if any(t <= 0 for t in out):
+        raise ValueError("the schedule values must be positive")
+    if any(t <= t_next for t, t_next in zip(out, out[1:])):
+        raise ValueError("the schedule must be strictly decreasing")
     return out
 
 
@@ -92,6 +98,8 @@ def run(args):
         ell = _parse_ell(args.ell) if args.ell is not None else None
         schedule = _parse_schedule(args.t_schedule) if args.t_schedule \
             else list(DEFAULT_SCHEDULE)
+        if args.precision < 1:
+            raise ValueError("the precision must be at least 1 bit")
     except (PolyParseError, ValueError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -197,13 +197,6 @@ def ugcdext(field, a, b):
     return r0, s0, t0
 
 
-def ueval(field, cs, x):
-    acc = field.zero()
-    for c in reversed(cs):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
 def _poly_roots(coeffs_mpc, maxsteps=300):
     """All complex roots of a polynomial given low-to-high mpc coefficients."""
     cs = list(coeffs_mpc)

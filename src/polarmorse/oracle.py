@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import mpmath
 
 from .fields import RationalField, rat
-from .poly import Poly, resultant
+from .poly import Poly, resultant, substitute
 from .puiseux import INFINITE
 
 QQ = RationalField()
@@ -53,16 +53,15 @@ def _poly_to_mp(p):
 
 def _eval_numeric(p, x, y):
     """Evaluate a bivariate rational Poly at complex arguments."""
-    acc = mpmath.mpc(0)
-    for e, c in p.terms.items():
-        acc += _to_mpf(c) * x ** e[0] * y ** e[1]
-    return acc
+    return substitute(p, (x, y), _to_mpf)
 
 
 def critical_points(f, ell, t, precision=256):
     """All complex solutions of {f_x = t*a, f_y = t*b}."""
     if t == 0:
         raise ValueError("the deformation parameter must be nonzero")
+    if precision < 1:
+        raise ValueError("the precision must be at least 1 bit")
     if f.is_constant():
         raise ValueError("a constant polynomial has no critical points")
     g1 = f.diff(0) - Poly.const(QQ, 2, rat(t) * rat(ell.a))
@@ -108,20 +107,12 @@ def critical_points(f, ell, t, precision=256):
 def _back_substitute(f, g1, g2, fxx, fxy, fyy, which, roots, tol):
     """Pair eliminant roots with the complementary coordinate."""
     pts, hess = [], []
-    other_polys = (g1, g2)
+    # coefficients of g1, g2 in the unsolved variable, as polys in the solved one
+    unsolved = 1 if which == "y" else 0
+    coeffs = [g.coeffs_in(unsolved) for g in (g1, g2)]
     for r in roots:
         # substitute the solved coordinate, get univariate polys in the other
-        uni = []
-        for g in other_polys:
-            var = 0 if which == "y" else 1
-            cs = g.coeffs_in(1 - var)  # coefficients in the unsolved variable
-            vals = [mpmath.mpc(0)] * len(cs)
-            for k, cp in enumerate(cs):
-                acc = mpmath.mpc(0)
-                for e, c in cp.terms.items():
-                    acc += _to_mpf(c) * r ** e[0]
-                vals[k] = acc
-            uni.append(vals)
+        uni = [[substitute(cp, (r,), _to_mpf) for cp in cs] for cs in coeffs]
         # use the lowest-degree substituted polynomial that still depends
         # on the unsolved variable (a vanishing one carries no constraint)
         trimmed = []
@@ -205,6 +196,8 @@ def classify_trajectories(f, ell, schedule, report, precision=256):
     if len(schedule) < 3 or any(schedule[i] <= schedule[i + 1]
                                 for i in range(len(schedule) - 1)):
         raise ValueError("need a strictly decreasing schedule of length >= 3")
+    if any(t <= 0 for t in schedule):
+        raise ValueError("the schedule values must be positive")
     sets = None
     while True:
         fine = _refine_schedule(schedule)

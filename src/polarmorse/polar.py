@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .fields import ExtensionField, RationalField, coerce, fresh_name, rat
 from .poly import (Poly, divides, exact_div, factor_qq, factor_univariate,
-                   gcd_qq, gcd_univar, resultant)
+                   gcd_qq, gcd_univar, resultant, substitute)
 
 QQ = RationalField()
 
@@ -131,17 +131,6 @@ def _root_class(px, base):
     return ext, ext.gen()
 
 
-def _eval_var(p, target, value, var):
-    """Substitute ``value`` (element of target) for variable ``var`` of a
-    bivariate p; returns a univariate Poly over target."""
-    out = Poly.zero(target, 1)
-    power = target.one()
-    for cpoly in p.coeffs_in(var):
-        out = out + cpoly.to_field(target).scale(power)
-        power = target.mul(power, value)
-    return out
-
-
 def polar_equation(f, ell):
     """The polar curve of f with respect to ell.
 
@@ -230,8 +219,10 @@ def _common_zeros(g1, g2, exclude=None):
     _c, facs = factor_qq(elim)
     for px, m in sorted(facs, key=lambda t: (t[0].degree_in(0), str(t[0]))):
         kf, x0 = _root_class(px, QQ)
-        a1 = _eval_var(g1, kf, x0, 0)
-        a2 = _eval_var(g2, kf, x0, 0)
+        # g1(x0, y), g2(x0, y) as polynomials in y over kf
+        at_x0 = (Poly.const(kf, 1, x0), Poly.var(kf, 1, 0))
+        a1, a2 = (substitute(g, at_x0, lambda c: Poly.const(kf, 1, coerce(kf, QQ, c)))
+                  for g in (g1, g2))
         if a1.is_zero() and a2.is_zero():
             raise ValueError("vertical line inside the common zero set")
         if a1.is_zero():

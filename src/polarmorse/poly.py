@@ -11,6 +11,7 @@ polynomials) is implemented here directly.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import sympy
@@ -22,7 +23,6 @@ from .fields import (
     coerce,
     rat,
     udivmod,
-    ueval,
     ugcd,
     umul,
     utrim,
@@ -198,41 +198,12 @@ class Poly:
     def eval(self, values):
         """Full evaluation; values are field elements (len == arity)."""
         f = self.field
-        acc = f.zero()
-        pows = [{0: f.one()} for _ in range(self.arity)]
-
-        def pw(i, n):
-            if n not in pows[i]:
-                pows[i][n] = f.mul(pw(i, n - 1), values[i])
-            return pows[i][n]
-
-        for e, c in self.terms.items():
-            t = c
-            for i, n in enumerate(e):
-                if n:
-                    t = f.mul(t, pw(i, n))
-            acc = f.add(acc, t)
-        return acc
+        return substitute(self, values, lambda c: c, f.add, f.mul)
 
     def compose(self, args):
         """Substitute polynomials (over the same field) for the variables."""
-        f = self.field
-        arity = args[0].arity
-        out = Poly.zero(f, arity)
-        pows = [{0: Poly.const(f, arity, f.one())} for _ in range(self.arity)]
-
-        def pw(i, n):
-            if n not in pows[i]:
-                pows[i][n] = pw(i, n - 1) * args[i]
-            return pows[i][n]
-
-        for e, c in self.terms.items():
-            t = Poly.const(f, arity, c)
-            for i, n in enumerate(e):
-                if n:
-                    t = t * pw(i, n)
-            out = out + t
-        return out
+        f, arity = self.field, args[0].arity
+        return substitute(self, args, lambda c: Poly.const(f, arity, c))
 
     def translate(self, center):
         """p(x1 + c1, ..., xn + cn)."""
@@ -317,6 +288,28 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%s)" % poly_str(self)
+
+
+def substitute(p, args, lift, add=operator.add, mul=operator.mul):
+    """p(args): the one evaluator of the package.
+
+    ``lift`` maps a coefficient of p into the ring of ``args``; ``add`` and
+    ``mul`` are that ring's operations.  Each argument's powers are
+    computed once, by repeated multiplication.
+    """
+    one = lift(p.field.one())
+    pows = [[one] for _ in args]
+    out = lift(p.field.zero())
+    for e, c in p.terms.items():
+        t = lift(c)
+        for i, n in enumerate(e):
+            if n:
+                pw = pows[i]
+                while len(pw) <= n:
+                    pw.append(mul(pw[-1], args[i]))
+                t = mul(t, pw[n])
+        out = add(out, t)
+    return out
 
 
 def _coeff_str(field, c, need_sign):

@@ -156,21 +156,11 @@ def _strip_axis_powers(F):
 
 def _duval_substitute(F, field, c0, p, q, a, b, weight):
     """F(c0^b * x1^q, x1^p * (c0^a + y1)) / x1^weight over ``field``."""
-    c0b = field.pow(c0, b)
-    c0a = field.pow(c0, a)
-    shift = Poly.var(field, 2, 1) + Poly.const(field, 2, c0a)  # c0^a + y1
-    max_j = max(e[1] for e in F.terms)
-    shift_pows = [Poly.const(field, 2, field.one())]
-    for _ in range(max_j):
-        shift_pows.append(shift_pows[-1] * shift)
-    out = Poly.zero(field, 2)
-    for (i, j), c in F.terms.items():
-        k = q * i + p * j - weight
-        assert k >= 0
-        coef = field.mul(c, field.pow(c0b, i))
-        mono = Poly(field, 2, {(k, 0): coef})
-        out = out + mono * shift_pows[j]
-    return out
+    x1 = Poly(field, 2, {(q, 0): field.pow(c0, b)})
+    y1 = Poly(field, 2, {(p, 1): field.one(), (p, 0): field.pow(c0, a)})
+    G = F.compose((x1, y1))
+    assert all(i >= weight for i, _j in G.terms)
+    return Poly(field, 2, {(i - weight, j): c for (i, j), c in G.terms.items()})
 
 
 def _newton_lift(G, field, target):

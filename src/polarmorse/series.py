@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import coerce, rat
+from .poly import substitute
 
 
 class SeriesPrecisionLoss(Exception):
@@ -147,13 +148,6 @@ class LaurentSeries:
         return LaurentSeries(self.field, {e + k: c for e, c in self.coeffs.items()},
                              self.trunc + k)
 
-    def scale_exponents(self, m):
-        """Substitute s -> s^m (m >= 1)."""
-        if m == 1:
-            return self
-        return LaurentSeries(self.field, {e * m: c for e, c in self.coeffs.items()},
-                             self.trunc * m)
-
     def __pow__(self, n):
         f = self.field
         if n == 0:
@@ -172,42 +166,23 @@ class LaurentSeries:
         return out
 
     def inverse(self):
-        """Multiplicative inverse; requires a certified leading term."""
+        """Multiplicative inverse; requires a certified leading term.
+
+        Newton iteration g <- g + g*(1 - u*g) on u = self*s^-o from
+        g = 1/lead, which doubles the number of correct coefficients of 1/u
+        per step.  The result is known up to s^(trunc - 2*o).
+        """
         f = self.field
         o = self.order()  # raises on precision loss
-        lead = self.coeffs[o]
-        # u = 1 + v with ord v > 0; invert by geometric series
-        rel_trunc = self.trunc - o
-        inv_lead = f.inv(lead)
-        v = {e - o: f.mul(c, inv_lead) for e, c in self.coeffs.items() if e != o}
-        out = {0: f.one()}
-        term = {0: f.one()}
-        for _ in range(rel_trunc - 1):
-            if not term:
-                break
-            # term <- -term * v, truncated at rel_trunc
-            nxt = {}
-            for e1, c1 in term.items():
-                for e2, c2 in v.items():
-                    e = e1 + e2
-                    if e >= rel_trunc:
-                        continue
-                    p = f.mul(c1, c2)
-                    if e in nxt:
-                        p = f.add(nxt[e], p)
-                    if f.is_zero(p):
-                        nxt.pop(e, None)
-                    else:
-                        nxt[e] = p
-            term = {e: f.neg(c) for e, c in nxt.items()}
-            for e, c in term.items():
-                s = f.add(out.get(e, f.zero()), c)
-                if f.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        coeffs = {e - o: f.mul(c, inv_lead) for e, c in out.items()}
-        return LaurentSeries(f, coeffs, rel_trunc - o)
+        u = self.shift(-o)
+        g = LaurentSeries.const(f, f.inv(self.coeffs[o]), 1)
+        n = 1
+        while n < u.trunc:
+            # g is exact below the old n; one step makes it exact below the new
+            n = min(2 * n, u.trunc)
+            g = LaurentSeries(f, g.coeffs, n)
+            g = g - g * (u * g - 1)
+        return g.shift(-o)
 
     def __truediv__(self, other):
         return self * self._match(other).inverse()
@@ -251,18 +226,4 @@ def poly_at_series(p, args):
     """Evaluate a polynomial at a tuple of series over p's field."""
     f = p.field
     trunc = min(a.trunc for a in args)
-    pows = [{0: LaurentSeries.const(f, f.one(), trunc)} for _ in args]
-
-    def pw(i, n):
-        if n not in pows[i]:
-            pows[i][n] = pw(i, n - 1) * args[i]
-        return pows[i][n]
-
-    out = LaurentSeries.zero(f, trunc)
-    for e, c in p.terms.items():
-        t = LaurentSeries.const(f, c, trunc)
-        for i, n in enumerate(e):
-            if n:
-                t = t * pw(i, n)
-        out = out + t
-    return out
+    return substitute(p, args, lambda c: LaurentSeries.const(f, c, trunc))

@@ -6,6 +6,7 @@ import pytest
 from polarmorse import cli
 from polarmorse.fields import rat
 from polarmorse.morse import analyze_symbolic
+from polarmorse.oracle import DEFAULT_SCHEDULE, classify_trajectories
 from polarmorse.polar import LinearForm
 from polarmorse.poly import parse_poly
 from polarmorse.report import to_json
@@ -98,6 +99,43 @@ def test_short_schedule_rejected(capsys):
     assert code == cli.EXIT_PARSE
 
 
+BAD_SCHEDULES = ["1e-2,1e-3,0", "-1e-4,-1e-3,-1e-2", "1e-2,1e-3,1e-2",
+                 "1e-2,1e-2,1e-3"]
+
+
+@pytest.fixture
+def oracle_unreachable(monkeypatch):
+    """A rejected option must stop the CLI before the oracle runs."""
+    def reached(*args, **kwargs):
+        pytest.fail("the oracle ran on a rejected option")
+
+    monkeypatch.setattr(cli, "classify_trajectories", reached)
+
+
+@pytest.mark.parametrize("text", BAD_SCHEDULES)
+def test_parse_schedule_rejects(text):
+    with pytest.raises(ValueError):
+        cli._parse_schedule(text)
+
+
+@pytest.mark.parametrize("text", BAD_SCHEDULES)
+def test_bad_schedule_exit_code(capsys, oracle_unreachable, text):
+    code, out, err = run_cli(capsys, "--f", "x + x^2*y", "--ell", "x + y",
+                             "--verify", "--t-schedule=" + text)
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bits", ["0", "-8"])
+def test_bad_precision_exit_code(capsys, oracle_unreachable, bits):
+    code, out, err = run_cli(capsys, "--f", "x + x^2*y", "--ell", "x + y",
+                             "--verify", "--precision", bits)
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 def test_linear_f(capsys):
     code, out, _ = run_cli(capsys, "--f", "x - 2*y", "--format", "json")
     assert code == cli.EXIT_OK
@@ -113,12 +151,18 @@ def test_decimal_to_rat_exact():
     assert cli._decimal_to_rat("3") == (3, 1)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDENS))
+@pytest.mark.parametrize("name", sorted(GOLDENS) + sorted(
+    "%s.verify" % g for g in GOLDENS))
 def test_canonical_json_pinned(name):
-    # tests/data/<name>.json is the output of
-    # polarmorse --f <golden> --ell "x + y" --format json
-    f = parse_poly(GOLDENS[name], cli.VARIABLES)
-    report = analyze_symbolic(f, ell=LinearForm(rat(1), rat(1)))
+    # tests/data/<golden>.json is the output of
+    # polarmorse --f <golden> --ell "x + y" --format json,
+    # and tests/data/<golden>.verify.json that of the same call with --verify
+    golden, _, verify = name.partition(".")
+    f = parse_poly(GOLDENS[golden], cli.VARIABLES)
+    ell = LinearForm(rat(1), rat(1))
+    report = analyze_symbolic(f, ell=ell)
+    if verify:
+        report.verification = classify_trajectories(f, ell, DEFAULT_SCHEDULE, report)
     expected = (DATA / ("%s.json" % name)).read_text()
     assert to_json(report, cli.VARIABLES) + "\n" == expected
 

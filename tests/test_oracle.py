@@ -86,3 +86,23 @@ def test_verdict_detects_wrong_report(cubic_tail, quintic_node, ell_xy):
     v = classify_trajectories(cubic_tail, ell_xy, DEFAULT_SCHEDULE, wrong)
     assert not v.matched
     assert v.mismatches
+
+
+def test_rejects_precision_below_one(cubic_tail, ell_xy):
+    with pytest.raises(ValueError):
+        critical_points(cubic_tail, ell_xy, rat(1, 100), precision=0)
+
+
+@pytest.mark.parametrize("schedule", [(rat(1, 100), rat(1, 1000), rat(0)),
+                                      (rat(-1, 10000), rat(-1, 1000), rat(-1, 100))])
+def test_classify_rejects_nonpositive_schedule(cubic_tail, ell_xy, schedule,
+                                               monkeypatch):
+    from polarmorse import oracle
+
+    def refine(schedule):
+        pytest.fail("a nonpositive schedule reached the refinement")
+
+    monkeypatch.setattr(oracle, "_refine_schedule", refine)
+    report = analyze_symbolic(cubic_tail, ell=ell_xy)
+    with pytest.raises(ValueError):
+        classify_trajectories(cubic_tail, ell_xy, schedule, report)

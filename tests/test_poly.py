@@ -1,3 +1,4 @@
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +7,8 @@ from polarmorse.poly import (Poly, PolyParseError, divides, exact_div,
                              factor_qq, factor_univariate, gcd_qq, gcd_univar,
                              minpoly_over, parse_poly, poly_str, resultant,
                              squarefree_part)
+from polarmorse.oracle import _eval_numeric, _to_mpf
+from polarmorse.series import LaurentSeries, poly_at_series
 
 QQ = RationalField()
 V = ("x", "y")
@@ -134,3 +137,18 @@ def test_gcd_univar_over_extension():
     lin = t - Poly.const(K, 1, r2)
     g = gcd_univar(lin * (t + one), lin * (t - one.scale(K.from_rat(rat(3)))))
     assert g == lin
+
+
+@given(small_polys(max_deg=4), st.tuples(*[st.builds(rat, st.integers(-9, 9),
+                                                     st.integers(1, 9))] * 2))
+@settings(max_examples=80, deadline=None)
+def test_evaluators_agree(p, v):
+    """eval, compose, poly_at_series and _eval_numeric are one evaluator."""
+    value = p.eval(v)
+    composed = p.compose([Poly.const(QQ, 2, c) for c in v])
+    assert composed.is_constant() and composed.constant_term() == value
+    series = poly_at_series(p, [LaurentSeries.const(QQ, c, 5) for c in v])
+    assert series.coeff(0) == value
+    with mpmath.workprec(256):
+        numeric = _eval_numeric(p, _to_mpf(v[0]), _to_mpf(v[1]))
+        assert abs(numeric - _to_mpf(value)) < mpmath.mpf(10) ** -60

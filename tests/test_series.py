@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarmorse.fields import RationalField, rat
+from polarmorse.fields import ExtensionField, RationalField, rat
 from polarmorse.poly import parse_poly
 from polarmorse.series import LaurentSeries, SeriesPrecisionLoss, poly_at_series
 
@@ -72,11 +72,41 @@ def test_ring_identities(a, b, c):
 
 @given(laurent_strategy())
 @settings(max_examples=60, deadline=None)
-def test_shift_scale_exponents(a):
+def test_shift_round_trip(a):
     assert a.shift(3).shift(-3) == a
-    doubled = a.scale_exponents(2)
-    for e, c in a.coeffs.items():
-        assert doubled.coeff(2 * e) == c
+
+
+SQRT2 = ExtensionField(QQ, "a", [rat(-2), rat(0), rat(1)])
+
+
+def invertible_series(field):
+    """Series with a certified leading term; coefficients a + b*gen."""
+    def elem(ab):
+        a, b = ab
+        if field is QQ:
+            return rat(a)
+        return field.add(field.from_rat(rat(a)),
+                         field.mul(field.from_rat(rat(b)), field.gen()))
+
+    coeff = st.tuples(st.integers(-5, 5), st.integers(-3, 3)).map(elem)
+    lead = coeff.filter(lambda c: not field.is_zero(c))
+    return st.builds(
+        lambda o, c0, rest, trunc: LaurentSeries.make(
+            field, [(o, c0)] + [(o + 1 + k, c) for k, c in enumerate(rest)], trunc),
+        st.integers(-3, 3), lead, st.lists(coeff, max_size=6),
+        st.integers(4, 12))
+
+
+@pytest.mark.parametrize("field", [QQ, SQRT2], ids=["QQ", "sqrt2"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_inverse_is_exact(field, data):
+    a = data.draw(invertible_series(field))
+    inv = a.inverse()
+    assert inv.trunc == a.trunc - 2 * a.order()
+    prod = a * inv
+    assert prod.trunc > 0
+    assert prod == LaurentSeries.const(field, field.one(), prod.trunc)
 
 
 def test_poly_at_series_matches_direct_composition():

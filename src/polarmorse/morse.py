@@ -278,8 +278,7 @@ def infinity_index(f, ell, polar, ipcls, chart=None, bound=None):
             key = ("infinite",)
             mp = None
         else:
-            mp = minpoly_over(br.field, alpha, K) if br.field is not K \
-                else _linear_minpoly(K, alpha)
+            mp = minpoly_over(br.field, alpha, K)
             key = ("finite", mp)
         groups.setdefault(key, []).append((br, alpha, mp, contrib))
     out = []
@@ -305,12 +304,6 @@ def infinity_index(f, ell, polar, ipcls, chart=None, bound=None):
                                  br0.field, a0, mp_qq, index,
                                  ipcls.conj * e, contribs))
     return out
-
-
-def _linear_minpoly(K, alpha):
-    """T - alpha as a univariate polynomial over K."""
-    return Poly(K, 1, {(1,): K.one(), (0,): K.neg(alpha)}) if not K.is_zero(alpha) \
-        else Poly(K, 1, {(1,): K.one()})
 
 
 def _group_sort_key(key):

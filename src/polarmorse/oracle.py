@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import mpmath
 
 from .fields import RationalField, rat
-from .poly import Poly, resultant, substitute
+from .poly import Poly, resultant, squarefree_part, substitute
 from .puiseux import INFINITE
 
 QQ = RationalField()
@@ -29,8 +29,6 @@ MAX_PRECISION = 4096
 class CriticalSet:
     t: object
     points: tuple              # (x, y) mpc pairs
-    radius: float              # common error estimate
-    hessian_ok: tuple          # per-point bool
 
 
 @dataclass
@@ -66,7 +64,6 @@ def critical_points(f, ell, t, precision=256):
         raise ValueError("a constant polynomial has no critical points")
     g1 = f.diff(0) - Poly.const(QQ, 2, rat(t) * rat(ell.a))
     g2 = f.diff(1) - Poly.const(QQ, 2, rat(t) * rat(ell.b))
-    fxx, fxy, fyy = f.diff(0).diff(0), f.diff(0).diff(1), f.diff(1).diff(1)
 
     # eliminate the variable giving the smaller resultant degree (tie: y)
     r_elim_y = resultant(g1, g2, 1) if g1.degree_in(1) or g2.degree_in(1) else None
@@ -81,8 +78,7 @@ def critical_points(f, ell, t, precision=256):
     cands.sort(key=lambda kv: (kv[1].degree_in(0), kv[0] != "y"))
     which, elim = cands[0]
     if elim.is_constant():
-        return CriticalSet(t, (), 0.0, ())
-    from .poly import squarefree_part
+        return CriticalSet(t, ())
     elim = squarefree_part(elim)  # repeated eliminant roots stall the solver
 
     prec = precision
@@ -95,18 +91,18 @@ def critical_points(f, ell, t, precision=256):
             except mpmath.libmp.NoConvergence:
                 roots = None
             if roots is not None:
-                pts, hess = _back_substitute(f, g1, g2, fxx, fxy, fyy,
-                                             which, roots, tol)
+                pts = _back_substitute(f, g1, g2, which, roots, tol)
                 if pts is not None:
-                    return CriticalSet(t, tuple(pts), float(tol), tuple(hess))
+                    return CriticalSet(t, tuple(pts))
         prec *= 2
         if prec > MAX_PRECISION:
             raise ArithmeticError("root finding failed at precision cap")
 
 
-def _back_substitute(f, g1, g2, fxx, fxy, fyy, which, roots, tol):
-    """Pair eliminant roots with the complementary coordinate."""
-    pts, hess = [], []
+def _back_substitute(f, g1, g2, which, roots, tol):
+    """Pair eliminant roots with the complementary coordinate; None when
+    the root finder fails to converge."""
+    pts = []
     # coefficients of g1, g2 in the unsolved variable, as polys in the solved one
     unsolved = 1 if which == "y" else 0
     coeffs = [g.coeffs_in(unsolved) for g in (g1, g2)]
@@ -130,18 +126,15 @@ def _back_substitute(f, g1, g2, fxx, fxy, fyy, which, roots, tol):
             yroots = mpmath.polyroots(list(reversed(trimmed[0])), maxsteps=200,
                                       extraprec=mpmath.mp.prec)
         except mpmath.libmp.NoConvergence:
-            return None, None
+            return None
         for yr in yroots:
             x, y = (r, yr) if which == "y" else (yr, r)
             res = max(abs(_eval_numeric(g1, x, y)), abs(_eval_numeric(g2, x, y)))
             scale = max(1, abs(x), abs(y)) ** max(1, f.total_degree() - 1)
             if res > tol * scale * 1e6:
                 continue
-            det = (_eval_numeric(fxx, x, y) * _eval_numeric(fyy, x, y)
-                   - _eval_numeric(fxy, x, y) ** 2)
             pts.append((x, y))
-            hess.append(abs(det) > tol)
-    return pts, hess
+    return pts
 
 
 def _pair_dist(p, c):

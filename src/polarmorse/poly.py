@@ -2,10 +2,12 @@
 
 The main pipeline works with polynomials in at most 3 variables whose
 coefficients live in a field from :mod:`polarmorse.fields`.  Heavy
-classical algorithms over Q (factorization, gcd, resultants) are delegated
-to sympy; everything that must run over an extension tower (gcd, resultant
-by evaluation/interpolation, Trager norm factorization, relative minimal
-polynomials) is implemented here directly.
+classical algorithms over Q (factorization, squarefree part, gcd,
+resultants) are delegated to sympy; everything that must run over an
+extension tower (univariate gcd, bivariate resultant by
+evaluation/interpolation, Trager norm factorization) is implemented here
+directly.  Relative minimal polynomials come from linear algebra on the
+powers of an element, over any field of the tower.
 """
 
 from __future__ import annotations
@@ -564,17 +566,13 @@ def squarefree_part(p):
     """Product of the distinct irreducible factors of p (unit-normalized)."""
     if p.is_zero():
         raise ValueError("squarefree part of the zero polynomial")
-    if isinstance(p.field, RationalField):
-        sp = to_sympy(p)
-        _, facs = sympy.factor_list(sp)
-        out = Poly.const(QQ, p.arity, rat(1))
-        for fac, _m in facs:
-            out = out * from_sympy(sympy.Poly(fac, *_SYM_VARS[: p.arity]), p.arity)
-        return out
-    if p.arity != 1:
-        raise NotImplementedError("squarefree part over extensions is univariate only")
-    g = gcd_univar(p, p.diff(0))
-    return exact_div(p, g)
+    if not isinstance(p.field, RationalField):
+        raise ValueError("squarefree_part needs rational coefficients")
+    _, facs = sympy.factor_list(to_sympy(p))
+    out = Poly.const(QQ, p.arity, rat(1))
+    for fac, _m in facs:
+        out = out * from_sympy(sympy.Poly(fac, *_SYM_VARS[: p.arity]), p.arity)
+    return out
 
 
 def factor_qq(p):
@@ -695,7 +693,7 @@ def _shift_by(p, c):
 
 
 # ---------------------------------------------------------------------------
-# determinants, resultants, characteristic polynomials
+# determinants and resultants
 
 
 def det(field, rows):
@@ -740,34 +738,26 @@ def _sylvester_entries(pc, qc):
 
 
 def resultant(p, q, var):
-    """Sylvester resultant of p and q eliminating variable ``var``."""
+    """Sylvester resultant of bivariate p and q eliminating variable ``var``."""
+    if p.arity != 2 or q.arity != 2:
+        raise ValueError("resultant needs bivariate inputs")
     f = p.field
     dp, dq = p.degree_in(var), q.degree_in(var)
     if dp < 1 and dq < 1:
         raise ValueError("both inputs are constant in the eliminated variable")
     if p.is_zero() or q.is_zero():
-        return Poly.zero(f, p.arity - 1)
+        return Poly.zero(f, 1)
     if dp < 1 or dq < 1:
         # resultant with a constant-in-var polynomial: c^deg(other)
-        const, other, d = (p, q, dq) if dp < 1 else (q, p, dp)
-        c = const.coeffs_in(var)[0]
-        if p.arity == 1:
-            return Poly.const(f, 0, f.pow(c, d)) if not isinstance(c, Poly) else c ** d
-        return c ** d
-    if isinstance(f, RationalField) and p.arity == 2:
+        const, d = (p, dq) if dp < 1 else (q, dp)
+        return const.coeffs_in(var)[0] ** d
+    if isinstance(f, RationalField):
         sp, sq = to_sympy(p), to_sympy(q)
         g = _SYM_VARS[var]
         keep = _SYM_VARS[1 - var]
         res = sympy.resultant(sp.as_expr(), sq.as_expr(), g)
         return from_sympy(sympy.Poly(res, keep), 1)
-    pc, qc = p.coeffs_in(var), q.coeffs_in(var)
-    rows = _sylvester_entries(pc, qc)
-    if p.arity == 1:
-        zero = f.zero()
-        rows = [[zero if e is None else e for e in row] for row in rows]
-        return Poly.const(f, 0, det(f, rows))
-    if p.arity != 2:
-        raise NotImplementedError("resultant supported for arity <= 2")
+    rows = _sylvester_entries(p.coeffs_in(var), q.coeffs_in(var))
     # evaluation / interpolation in the remaining variable
     bound = dp * q.degree_in(1 - var) + dq * p.degree_in(1 - var)
     xs = [f.from_rat(rat(k)) for k in range(bound + 1)]
@@ -802,21 +792,8 @@ def _lagrange(field, xs, ys):
 # relative minimal polynomials
 
 
-def _relative_basis(field, subfield):
-    """Power-product basis of ``field`` over ``subfield`` (as field elements)."""
-    if field is subfield:
-        return [field.one() if not isinstance(field, RationalField) else rat(1)]
-    below = _relative_basis(field.base, subfield)
-    out = []
-    for k in range(field.degree):
-        gk = field.pow(field.gen(), k)
-        for b in below:
-            out.append(field.mul(gk, field.lift(b)))
-    return out
-
-
 def _flatten(field, subfield, x):
-    # coordinate order matches _relative_basis: gen^k major, base minor
+    """Coordinates of x over subfield: gen^k major, base minor."""
     if field is subfield:
         return [x]
     out = []
@@ -825,48 +802,33 @@ def _flatten(field, subfield, x):
     return out
 
 
-def charpoly(subfield, matrix):
-    """Characteristic polynomial det(X*I - M) of a matrix over subfield,
-    returned as a monic univariate Poly over subfield."""
-    n = len(matrix)
-    if isinstance(subfield, RationalField):
-        sm = sympy.Matrix(
-            [[sympy.Rational(int(c.numerator), int(c.denominator)) for c in row]
-             for row in matrix])
-        cp = sm.charpoly()
-        coeffs = list(reversed(cp.all_coeffs()))
-        return Poly.from_coeffs(
-            QQ, [rat(int(sympy.Rational(c).p), int(sympy.Rational(c).q)) for c in coeffs])
-    # evaluate det(xI - M) at n+1 points and interpolate
-    xs = [subfield.from_rat(rat(k)) for k in range(n + 1)]
-    ys = []
-    for x in xs:
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                v = subfield.neg(matrix[i][j])
-                if i == j:
-                    v = subfield.add(v, x)
-                row.append(v)
-            rows.append(row)
-        ys.append(det(subfield, rows))
-    return _lagrange(subfield, xs, ys)
-
-
 def minpoly_over(field, elem, subfield):
-    """Monic minimal polynomial of ``elem`` (in ``field``) over ``subfield``."""
-    if field is subfield:
-        return Poly.from_coeffs(subfield, [subfield.neg(elem), subfield.one()])
-    basis = _relative_basis(field, subfield)
-    n = len(basis)
-    cols = [_flatten(field, subfield, field.mul(elem, b)) for b in basis]
-    matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-    cp = charpoly(subfield, matrix)
-    # elem's minimal polynomial is the unique irreducible factor vanishing at elem
-    _, facs = factor_univariate(cp)
-    for fac, _m in facs:
-        lifted = fac.map_coeffs(field, lambda c: coerce(field, subfield, c))
-        if field.is_zero(lifted.eval([elem])):
-            return fac
-    raise ArithmeticError("no factor of the characteristic polynomial vanishes")
+    """Monic minimal polynomial of ``elem`` (in ``field``) over ``subfield``.
+
+    It is the first linear dependence over ``subfield`` among 1, elem,
+    elem^2, ... (Cohen, *A Course in Computational Algebraic Number
+    Theory*).  Each power's coordinates are reduced against the echelon
+    rows of the earlier ones, carrying along the combination of powers
+    that produced them; the first power that reduces to zero gives the
+    polynomial.
+    """
+    sub = subfield
+    rows = []  # (pivot, reduced coordinates with 1 at pivot, combination)
+    power = field.one()
+    for k in itertools.count():
+        vec = _flatten(field, sub, power)
+        comb = [sub.zero()] * k + [sub.one()]
+        for piv, row, rcomb in rows:
+            c = vec[piv]
+            if sub.is_zero(c):
+                continue
+            vec = [sub.sub(v, sub.mul(c, r)) for v, r in zip(vec, row)]
+            comb = ([sub.sub(v, sub.mul(c, r)) for v, r in zip(comb, rcomb)]
+                    + comb[len(rcomb):])
+        piv = next((i for i, v in enumerate(vec) if not sub.is_zero(v)), None)
+        if piv is None:
+            return Poly.from_coeffs(sub, comb)
+        inv = sub.inv(vec[piv])
+        rows.append((piv, [sub.mul(v, inv) for v in vec],
+                     [sub.mul(v, inv) for v in comb]))
+        power = field.mul(power, elem)

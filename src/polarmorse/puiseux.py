@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fields import ExtensionField, coerce, fresh_name, rat
+from .fields import ExtensionField, coerce, fresh_name
 from .poly import Poly, factor_univariate
 from .series import LaurentSeries, SeriesPrecisionLoss, poly_at_series
 
@@ -29,21 +29,6 @@ class DegenerateComposition(Exception):
 
 
 INFINITE = "infinite"  # sentinel for limits at infinity on the value sphere
-
-
-@dataclass(frozen=True)
-class NewtonSegment:
-    slope: object          # rational p/q (y ~ x^slope); None for the x = 0 axis
-    lattice_length: int
-    edge_poly: Poly        # reduced edge polynomial in c^q (univariate); may be None for axes
-
-    def __repr__(self):
-        return "NewtonSegment(slope=%s, length=%d)" % (self.slope, self.lattice_length)
-
-
-@dataclass(frozen=True)
-class NewtonPolygon:
-    segments: tuple
 
 
 @dataclass(frozen=True)
@@ -60,11 +45,6 @@ class PuiseuxBranch:
     x_series: LaurentSeries
     y_series: LaurentSeries
     conj_multiplicity: int
-    truncation_order: int
-
-    def ramification(self):
-        o = self.x_series.order_or_none()
-        return o if o is not None else 0
 
 
 def _staircase(points):
@@ -124,27 +104,6 @@ def _edge_poly(field, on_edge, a, b):
     return Poly(field, 1, {(k - lo,): c for k, c in exps.items()})
 
 
-def newton_polygon(F):
-    """Lower Newton polygon of a bivariate F with F(0,0) = 0, F != 0."""
-    if F.is_zero():
-        raise ValueError("Newton polygon of the zero polynomial")
-    if not F.field.is_zero(F.constant_term()):
-        raise ValueError("no branch through the origin: F(0,0) != 0")
-    segs = []
-    ax = min(e[0] for e in F.terms)
-    ay = min(e[1] for e in F.terms)
-    if ax > 0:
-        segs.append(NewtonSegment(None, ax, None))
-    if ay > 0:
-        segs.append(NewtonSegment(rat(0), ay, None))
-    body = Poly(F.field, 2, {(i - ax, j - ay): c for (i, j), c in F.terms.items()})
-    if not body.is_constant():
-        for a_pt, b_pt in _lower_hull(body.terms.keys()):
-            p, q, g, a, b, _w, on_edge = _edge_data(body, a_pt, b_pt)
-            segs.append(NewtonSegment(rat(p, q), g, _edge_poly(F.field, on_edge, a, b)))
-    return NewtonPolygon(tuple(segs))
-
-
 def _strip_axis_powers(F):
     ax = min(e[0] for e in F.terms)
     ay = min(e[1] for e in F.terms)
@@ -177,7 +136,7 @@ def _newton_lift(G, field, target):
     raise ArithmeticError("Newton lifting failed to converge")
 
 
-def _expand_core(F, field, target, depth, top_level, cap):
+def _expand_core(F, field, target, depth, top_level):
     if depth > _MAX_DEPTH:
         raise ArithmeticError("Puiseux recursion exceeded its depth bound")
     branches = []
@@ -201,7 +160,7 @@ def _expand_core(F, field, target, depth, top_level, cap):
                 F2 = F
             else:
                 name = fresh_name(field, "g")
-                f2 = ExtensionField(field, name, h.coeffs_in(0), cap=cap)
+                f2 = ExtensionField(field, name, h.coeffs_in(0))
                 c0 = f2.gen()
                 F2 = F.to_field(f2)
             if field.is_zero(c0) if f2 is field else f2.is_zero(c0):
@@ -213,7 +172,7 @@ def _expand_core(F, field, target, depth, top_level, cap):
                 psi = _newton_lift(G1, f2, target)
                 inner = [(f2, LaurentSeries.monomial(f2, f2.one(), 1, target), psi, 1)]
             else:
-                inner = _expand_core(G1, f2, target, depth + 1, False, cap)
+                inner = _expand_core(G1, f2, target, depth + 1, False)
             for bf, x_in, y_in, cm in inner:
                 c0b_l = coerce(bf, f2, c0b)
                 c0a_l = coerce(bf, f2, c0a)
@@ -223,16 +182,13 @@ def _expand_core(F, field, target, depth, top_level, cap):
     return branches
 
 
-def expand_branches(F, center=None, target_order=None, cap=None):
+def expand_branches(F, center=None, target_order=None):
     """All branch classes of F = 0 through ``center`` (default: origin).
 
     ``F`` must be bivariate and squarefree; ``center`` is a pair of
     elements of F's field.  Each branch satisfies F(x(s), y(s)) = 0
     exactly to its truncation.
     """
-    from .fields import DEFAULT_TOWER_CAP
-    if cap is None:
-        cap = DEFAULT_TOWER_CAP
     if F.is_zero():
         raise ValueError("cannot expand branches of the zero polynomial")
     field = F.field
@@ -242,11 +198,7 @@ def expand_branches(F, center=None, target_order=None, cap=None):
         raise ValueError("the curve does not pass through the requested center")
     if target_order is None:
         target_order = 2 * F.total_degree() + 2
-    out = []
-    for bf, xs, ys, cm in _expand_core(F, field, target_order, 0, True, cap):
-        trunc = min(xs.trunc, ys.trunc)
-        out.append(PuiseuxBranch(bf, xs, ys, cm, trunc))
-    return out
+    return [PuiseuxBranch(*b) for b in _expand_core(F, field, target_order, 0, True)]
 
 
 def branch_residual(F, branch):

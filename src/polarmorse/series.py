@@ -74,9 +74,6 @@ class LaurentSeries:
                 "series vanishes to its truncation (%d); order unknown" % self.trunc)
         return min(self.coeffs)
 
-    def order_or_none(self):
-        return min(self.coeffs) if self.coeffs else None
-
     def coeff(self, e):
         if e >= self.trunc:
             raise SeriesPrecisionLoss("coefficient at %d is beyond truncation" % e)

@@ -32,7 +32,6 @@ def test_critical_points_quadratic(ell_xy):
     with mpmath.workprec(256):
         assert abs(x - mpmath.mpf(1) / 200) < 1e-40
         assert abs(y - mpmath.mpf(1) / 200) < 1e-40
-    assert cs.hessian_ok == (True,)
 
 
 def test_critical_points_sextic(sextic_eight, ell_xy):

@@ -84,6 +84,15 @@ def test_resultant_vanishes_iff_common_factor():
     assert resultant(p, q, 1).is_zero()
 
 
+def test_resultant_rejects_non_bivariate():
+    x = parse_poly("x^2 - 2", ("x",))
+    with pytest.raises(ValueError):
+        resultant(x, x.diff(0), 0)
+    xyz = parse_poly("x*z - y", ("x", "y", "z"))
+    with pytest.raises(ValueError):
+        resultant(xyz, xyz, 2)
+
+
 def test_exact_div_and_divides():
     p = parse_poly("x^2 - y^2", V)
     q = parse_poly("x - y", V)
@@ -100,6 +109,13 @@ def test_gcd_and_squarefree():
     assert g.total_degree() == 2       # x*(x - y) up to a unit
     sq = squarefree_part(parse_poly("x^2*y^3", V))
     assert sq.total_degree() == 2
+
+
+def test_squarefree_part_needs_rationals():
+    K = ExtensionField(QQ, "a", [rat(-2), rat(0), rat(1)])
+    t = Poly.var(K, 1, 0)
+    with pytest.raises(ValueError):
+        squarefree_part(t * t)
 
 
 def test_factor_qq_bivariate():
@@ -126,6 +142,31 @@ def test_minpoly_over_subfield():
     x = K.add(K.one(), K.gen())        # 1 + sqrt2
     mp = minpoly_over(K, x, QQ)
     assert mp == Poly(QQ, 1, {(2,): rat(1), (1,): rat(-2), (0,): rat(-1)})
+
+
+K1 = ExtensionField(QQ, "a", [rat(-2), rat(0), rat(0), rat(1)])         # Q(2^(1/3))
+K2 = ExtensionField(K1, "b", [K1.sub(K1.gen(), K1.one()), K1.zero(), K1.one()])
+# K2 = K1(sqrt(1 - a)): 1 - a has norm -1 over Q, so it is no square in K1
+
+
+@given(st.lists(st.builds(rat, st.integers(-4, 4), st.integers(1, 3)),
+                min_size=6, max_size=6),
+       st.sampled_from([QQ, K1, K2]))
+@settings(max_examples=40, deadline=None)
+def test_minpoly_over_tower(cs, sub):
+    elem = (tuple(cs[:3]), tuple(cs[3:]))
+    mp = minpoly_over(K2, elem, sub)
+    deg = mp.degree_in(0)
+    assert sub.eq(mp.terms[(deg,)], sub.one())
+    assert K2.is_zero(mp.to_field(K2).eval([elem]))
+    assert (K2.total_degree // sub.total_degree) % deg == 0
+    _unit, facs = factor_univariate(mp)
+    assert facs == [(mp, 1)]
+
+
+def test_minpoly_of_zero_over_own_field():
+    for F in (QQ, K1, K2):
+        assert minpoly_over(F, F.zero(), F) == Poly(F, 1, {(1,): F.one()})
 
 
 def test_gcd_univar_over_extension():

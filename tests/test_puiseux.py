@@ -7,7 +7,7 @@ from polarmorse.fields import RationalField, rat
 from polarmorse.poly import Poly, factor_qq, parse_poly, resultant, squarefree_part
 from polarmorse.polar import _root_class
 from polarmorse.puiseux import (branch_residual, count_vanishing_solutions,
-                                expand_branches, newton_polygon,
+                                expand_branches,
                                 series_order_after_limit, INFINITE)
 from polarmorse.series import poly_at_series
 
@@ -20,26 +20,6 @@ def residual_ok(F, branches):
         r = branch_residual(F, b)
         assert r.is_zero_shown(), "branch fails to satisfy its curve"
     return True
-
-
-def test_polygon_cusp():
-    np_ = newton_polygon(parse_poly("y^2 - x^3", V))
-    assert len(np_.segments) == 1
-    seg = np_.segments[0]
-    assert seg.slope == rat(3, 2)
-    assert seg.lattice_length == 1
-
-
-def test_polygon_smooth_branch():
-    np_ = newton_polygon(parse_poly("y - x + x^2*y^2 - 2/3*x^3*y", V))
-    slopes = [s.slope for s in np_.segments]
-    assert rat(1) in slopes
-
-
-def test_polygon_axes():
-    np_ = newton_polygon(parse_poly("x*y", V))
-    assert len(np_.segments) == 2
-    assert {s.slope for s in np_.segments} == {None, rat(0)}
 
 
 def test_cusp_single_branch():

@@ -7,9 +7,11 @@ canonical JSON.
 
 Exit codes: 0 success; 2 parse error; 3 genericity exhausted;
 4 oracle mismatch; 5 extension tower over the degree cap;
-1 internal invariant violation.  A --t-schedule must hold at least 3
-positive, strictly decreasing values and --precision must be at least 1;
-otherwise the exit code is 2.
+1 internal invariant violation.  Exit 2 covers every input error, found
+before the analysis starts: an unparsable --f or --ell, a constant --f,
+a --t-schedule without at least 3 positive, strictly decreasing values,
+a --precision below 1 and a --max-redraws below 1.  Any other error
+raised during the analysis ends in exit 1.
 """
 
 from __future__ import annotations
@@ -100,6 +102,10 @@ def run(args):
             else list(DEFAULT_SCHEDULE)
         if args.precision < 1:
             raise ValueError("the precision must be at least 1 bit")
+        if args.max_redraws < 1:
+            raise ValueError("max_redraws must be at least 1")
+        if f.is_constant():
+            raise ValueError("a constant polynomial has no Morse points")
     except (PolyParseError, ValueError) as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
@@ -113,10 +119,7 @@ def run(args):
     except ExtensionTooLarge as exc:
         print("extension too large: %s" % exc, file=sys.stderr)
         return EXIT_TOWER
-    except ValueError as exc:
-        print("parse error: %s" % exc, file=sys.stderr)
-        return EXIT_PARSE
-    except (ArithmeticError, AssertionError) as exc:
+    except (ArithmeticError, AssertionError, ValueError) as exc:
         print("internal error: %s" % exc, file=sys.stderr)
         return EXIT_INTERNAL
 

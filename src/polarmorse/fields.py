@@ -3,10 +3,10 @@
 Coefficients throughout the symbolic pipeline are exact: rationals at the
 bottom, and elements of iterated extensions Q(g1)(g2)... above.  An
 extension element is stored as a coordinate tuple over the power basis of
-its top generator, with entries in the field one level down.  Every field
-carries a numeric embedding (a chosen complex root per generator) so that
-elements can be approximated, compared against numerics, and serialized
-deterministically.
+its top generator, with entries in the field one level down.  A field is
+only its definition; its numeric embeddings (one complex root per
+generator) are computed on first use and kept, so that elements can be
+approximated, compared against numerics, and serialized deterministically.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ class RationalField:
         return []
 
     def embeddings(self):
-        return [()]
+        return ((),)
 
     def to_mpc(self, a, embedding=()):
         return mpmath.mpc(mpmath.mpf(int(a.numerator)) / mpmath.mpf(int(a.denominator)))
@@ -213,11 +213,12 @@ class ExtensionField:
 
     ``minpoly`` is a monic coefficient list (low-to-high) over ``base``,
     assumed irreducible there.  Elements are tuples of ``degree`` base
-    elements.  A specific complex root is fixed at construction, making
-    the whole tower numerically embedded.
+    elements.  Constructing a field finds no roots: its numeric embeddings
+    are computed on first use by ``embeddings()`` and kept.  The first of
+    them is the canonical embedding, the one ``to_mpc`` uses by default.
     """
 
-    def __init__(self, base, name, minpoly, root_hint=None, cap=DEFAULT_TOWER_CAP):
+    def __init__(self, base, name, minpoly):
         minpoly = utrim(base, list(minpoly))
         if len(minpoly) < 3:
             raise ValueError("extension by a linear polynomial is pointless")
@@ -229,11 +230,11 @@ class ExtensionField:
         self.minpoly = tuple(minpoly)
         self.degree = len(minpoly) - 1
         self.total_degree = base.total_degree * self.degree
-        if self.total_degree > cap:
-            raise ExtensionTooLarge(
-                "tower degree %d exceeds cap %d" % (self.total_degree, cap))
+        if self.total_degree > DEFAULT_TOWER_CAP:
+            raise ExtensionTooLarge("tower degree %d exceeds cap %d"
+                                    % (self.total_degree, DEFAULT_TOWER_CAP))
         self._red = self._reduction_table()
-        self.root = self._choose_root(root_hint)
+        self._embeddings = None
 
     def _reduction_table(self):
         """Representations of gen^k, k = degree..2*degree-2, as vectors."""
@@ -250,16 +251,6 @@ class ExtensionField:
             table[k] = nxt
             cur = nxt
         return table
-
-    def _choose_root(self, root_hint):
-        with mpmath.workdps(EMBED_DPS):
-            coeffs = [self.base.to_mpc(c) for c in self.minpoly]
-            roots = _poly_roots(coeffs)
-            if not roots:
-                raise ArithmeticError("minimal polynomial has no roots?")
-            if root_hint is None:
-                return roots[0]
-            return min(roots, key=lambda z: abs(z - root_hint))
 
     # -- element construction ------------------------------------------
     def zero(self):
@@ -363,25 +354,22 @@ class ExtensionField:
         return self.base.levels() + [self]
 
     def embeddings(self):
-        """All numeric embeddings of the tower, as tuples of generator values."""
-        out = []
-        with mpmath.workdps(EMBED_DPS):
-            for emb in self.base.embeddings():
-                coeffs = [self.base.to_mpc(c, emb) for c in self.minpoly]
-                for r in _poly_roots(coeffs):
-                    out.append(emb + (r,))
-        return out
-
-    def canonical_embedding(self):
-        f, emb = self, []
-        while f.base is not None:
-            emb.append(f.root)
-            f = f.base
-        return tuple(reversed(emb))
+        """All numeric embeddings of the tower, as tuples of generator values,
+        each base embedding followed by the roots of ``minpoly`` under it in
+        ``_poly_roots`` order.  Computed once, on first use."""
+        if self._embeddings is None:
+            out = []
+            with mpmath.workdps(EMBED_DPS):
+                for emb in self.base.embeddings():
+                    coeffs = [self.base.to_mpc(c, emb) for c in self.minpoly]
+                    for r in _poly_roots(coeffs):
+                        out.append(emb + (r,))
+            self._embeddings = tuple(out)
+        return self._embeddings
 
     def to_mpc(self, a, embedding=None):
         if embedding is None:
-            embedding = self.canonical_embedding()
+            embedding = self.embeddings()[0]
         r = embedding[-1]
         acc = mpmath.mpc(0)
         for c in reversed(a):

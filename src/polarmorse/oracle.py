@@ -27,7 +27,6 @@ MAX_PRECISION = 4096
 
 @dataclass(frozen=True)
 class CriticalSet:
-    t: object
     points: tuple              # (x, y) mpc pairs
 
 
@@ -78,7 +77,7 @@ def critical_points(f, ell, t, precision=256):
     cands.sort(key=lambda kv: (kv[1].degree_in(0), kv[0] != "y"))
     which, elim = cands[0]
     if elim.is_constant():
-        return CriticalSet(t, ())
+        return CriticalSet(())
     elim = squarefree_part(elim)  # repeated eliminant roots stall the solver
 
     prec = precision
@@ -93,7 +92,7 @@ def critical_points(f, ell, t, precision=256):
             if roots is not None:
                 pts = _back_substitute(f, g1, g2, which, roots, tol)
                 if pts is not None:
-                    return CriticalSet(t, tuple(pts))
+                    return CriticalSet(tuple(pts))
         prec *= 2
         if prec > MAX_PRECISION:
             raise ArithmeticError("root finding failed at precision cap")
@@ -238,7 +237,6 @@ def classify_trajectories(f, ell, schedule, report, precision=256):
 
 def _classify_one(f, schedule, tr, individuals, r_affine, ang_tol):
     end = tr[-1]
-    norm_end = max(abs(end[0]), abs(end[1]))
     norms = [max(abs(p[0]), abs(p[1])) for p in tr]
     escaping = norms[-1] > max(10, 2 * norms[0]) or norms[-1] > 1 / r_affine
 
@@ -255,7 +253,8 @@ def _classify_one(f, schedule, tr, individuals, r_affine, ang_tol):
         return None
 
     # escaping: direction on the line at infinity, as u = x / y (or y = 0)
-    fvals = [abs(_eval_numeric(f, p[0], p[1])) for p in tr]
+    vals = [_eval_numeric(f, p[0], p[1]) for p in tr]
+    fvals = [abs(v) for v in vals]
     if abs(end[1]) < ang_tol * abs(end[0]):
         direction = None          # the point [1 : 0 : 0]
     else:
@@ -271,7 +270,6 @@ def _classify_one(f, schedule, tr, individuals, r_affine, ang_tol):
     f_infinite = slope > 0.2
     if not f_infinite:
         # Richardson-style extrapolation of the (complex) f values
-        vals = [_eval_numeric(f, p[0], p[1]) for p in tr]
         f_lim = vals[-1] + (vals[-1] - vals[-2])
     best, bestd = None, None
     for i, ind in enumerate(individuals):

@@ -33,7 +33,6 @@ class GenericityError(Exception):
 class LinearForm:
     a: object
     b: object
-    provenance: str = "explicit"
 
     def __post_init__(self):
         if self.a == 0 and self.b == 0:
@@ -55,7 +54,6 @@ class AffinePointClass:
     field: object
     x: object
     y: object
-    mult: int          # order of this orbit's x-coordinate in the eliminant
     conj: int          # number of points in the orbit
 
     def coords_str(self):
@@ -181,8 +179,6 @@ def singular_locus(f):
     if f.is_constant():
         raise ValueError("singular locus of a constant polynomial")
     fx, fy = f.diff(0), f.diff(1)
-    if fx.is_zero() and fy.is_zero():
-        raise ValueError("singular locus of a constant polynomial")
     comp = gcd_qq(fx, fy)
     components = []
     if not comp.is_constant():
@@ -217,7 +213,7 @@ def _common_zeros(g1, g2, exclude=None):
         return []
     out = []
     _c, facs = factor_qq(elim)
-    for px, m in sorted(facs, key=lambda t: (t[0].degree_in(0), str(t[0]))):
+    for px, _m in sorted(facs, key=lambda t: (t[0].degree_in(0), str(t[0]))):
         kf, x0 = _root_class(px, QQ)
         # g1(x0, y), g2(x0, y) as polynomials in y over kf
         at_x0 = (Poly.const(kf, 1, x0), Poly.var(kf, 1, 0))
@@ -239,7 +235,7 @@ def _common_zeros(g1, g2, exclude=None):
             if exclude is not None and \
                     lf.is_zero(exclude.to_field(lf).eval((x0l, y0))):
                 continue
-            out.append(AffinePointClass(lf, x0l, y0, m, px.degree_in(0) * ry.degree_in(0)))
+            out.append(AffinePointClass(lf, x0l, y0, px.degree_in(0) * ry.degree_in(0)))
     return out
 
 
@@ -267,4 +263,4 @@ def draw_generic_ell(seed, max_redraws):
         a = rat(rng.randint(-97, 97), rng.randint(1, 97))
         b = rat(rng.randint(-97, 97), rng.randint(1, 97))
         if a != 0 or b != 0:
-            yield i, LinearForm(a, b, provenance="seeded-random(%s,%d)" % (seed, i))
+            yield i, LinearForm(a, b)

@@ -563,15 +563,11 @@ def divides(q, p):
 
 
 def squarefree_part(p):
-    """Product of the distinct irreducible factors of p (unit-normalized)."""
-    if p.is_zero():
-        raise ValueError("squarefree part of the zero polynomial")
-    if not isinstance(p.field, RationalField):
-        raise ValueError("squarefree_part needs rational coefficients")
-    _, facs = sympy.factor_list(to_sympy(p))
+    """Product of the distinct irreducible factors of p over Q
+    (unit-normalized)."""
     out = Poly.const(QQ, p.arity, rat(1))
-    for fac, _m in facs:
-        out = out * from_sympy(sympy.Poly(fac, *_SYM_VARS[: p.arity]), p.arity)
+    for fac, _m in factor_qq(p)[1]:
+        out = out * fac
     return out
 
 
@@ -605,11 +601,9 @@ def factor_univariate(p):
     if p.is_constant():
         return p.constant_term(), []
     if isinstance(f, RationalField):
-        content, facs = sympy.factor_list(to_sympy(p))
+        unit, facs = factor_qq(p)
         out = []
-        unit = rat(int(sympy.Rational(content).p), int(sympy.Rational(content).q))
-        for fac, m in facs:
-            fp = from_sympy(sympy.Poly(fac, _SYM_VARS[0]), 1)
+        for fp, m in facs:
             lead = fp.terms[(fp.degree_in(0),)]
             unit *= lead ** m
             out.append((fp.scale(QQ.inv(lead)), m))

@@ -14,6 +14,9 @@ from polarmorse.report import to_json
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDENS = {"cubic": "x + x^2*y", "quintic": "x*y + 1/3*x^3*y^2",
            "sextic": "x*y + 1/3*x^3*y^2 + x^6"}
+# Pinned inputs: the goldens, plus one whose attractor points lie in a
+# tower Q(sqrt 2)(2^(1/4)) rather than a single extension of Q.
+PINNED = dict(GOLDENS, tower="(x^2-2)^2 + (y^2-x)^2")
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +139,34 @@ def test_bad_precision_exit_code(capsys, oracle_unreachable, bits):
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+@pytest.fixture
+def analysis_unreachable(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("the analysis ran on a bad input")
+
+    monkeypatch.setattr(cli, "analyze_symbolic", reached)
+
+
+@pytest.mark.parametrize("argv", [["--f", "3"],
+                                  ["--f", "x + x^2*y", "--max-redraws", "0"]])
+def test_input_error_exit_code(capsys, analysis_unreachable, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+def test_analysis_value_error_is_internal_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("the two polynomials share a curve component")
+
+    monkeypatch.setattr(cli, "analyze_symbolic", broken)
+    code, out, err = run_cli(capsys, "--f", "x + x^2*y", "--ell", "x + y")
+    assert code == cli.EXIT_INTERNAL == 1
+    assert out == ""
+    assert err == "internal error: the two polynomials share a curve component\n"
+
+
 def test_linear_f(capsys):
     code, out, _ = run_cli(capsys, "--f", "x - 2*y", "--format", "json")
     assert code == cli.EXIT_OK
@@ -151,14 +182,14 @@ def test_decimal_to_rat_exact():
     assert cli._decimal_to_rat("3") == (3, 1)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDENS) + sorted(
-    "%s.verify" % g for g in GOLDENS))
+@pytest.mark.parametrize("name", sorted(PINNED) + sorted(
+    "%s.verify" % g for g in PINNED))
 def test_canonical_json_pinned(name):
-    # tests/data/<golden>.json is the output of
-    # polarmorse --f <golden> --ell "x + y" --format json,
-    # and tests/data/<golden>.verify.json that of the same call with --verify
+    # tests/data/<input>.json is the output of
+    # polarmorse --f <input> --ell "x + y" --format json,
+    # and tests/data/<input>.verify.json that of the same call with --verify
     golden, _, verify = name.partition(".")
-    f = parse_poly(GOLDENS[golden], cli.VARIABLES)
+    f = parse_poly(PINNED[golden], cli.VARIABLES)
     ell = LinearForm(rat(1), rat(1))
     report = analyze_symbolic(f, ell=ell)
     if verify:

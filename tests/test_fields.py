@@ -2,8 +2,9 @@ import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from polarmorse.fields import (DEFAULT_TOWER_CAP, ExtensionField,
-                               ExtensionTooLarge, RationalField, rat)
+from polarmorse import fields
+from polarmorse.fields import (ExtensionField, ExtensionTooLarge,
+                               RationalField, rat)
 
 QQ = RationalField()
 
@@ -12,6 +13,12 @@ rationals = st.builds(rat, st.integers(-50, 50), st.integers(1, 20))
 
 def sqrt2_field():
     return ExtensionField(QQ, "a", [rat(-2), rat(0), rat(1)])
+
+
+def sqrt2_tower():
+    """K = Q(sqrt2) and L = K(b) with b^2 = sqrt2."""
+    K = sqrt2_field()
+    return K, ExtensionField(K, "b", [K.neg(K.gen()), K.zero(), K.one()])
 
 
 def test_rational_field_is_singleton():
@@ -53,9 +60,7 @@ def test_extension_embeddings_and_numerics():
 
 
 def test_nested_tower():
-    K = sqrt2_field()
-    # adjoin a square root of sqrt2: minpoly T^2 - a over K
-    L = ExtensionField(K, "b", [K.neg(K.gen()), K.zero(), K.one()])
+    _K, L = sqrt2_tower()
     b = L.gen()
     b4 = L.pow(b, 4)
     assert L.eq(b4, L.from_rat(rat(2)))
@@ -65,8 +70,50 @@ def test_nested_tower():
 def test_tower_cap_enforced():
     K = sqrt2_field()
     with pytest.raises(ExtensionTooLarge):
-        ExtensionField(K, "c", [K.from_rat(rat(2))] + [K.zero()] * 15 + [K.one()],
-                       cap=DEFAULT_TOWER_CAP)
+        ExtensionField(K, "c", [K.from_rat(rat(2))] + [K.zero()] * 15 + [K.one()])
+
+
+def test_construction_finds_no_roots(monkeypatch):
+    def no_roots(*args, **kwargs):
+        raise AssertionError("root finding is not needed for exact arithmetic")
+
+    monkeypatch.setattr(fields, "_poly_roots", no_roots)
+    _K, L = sqrt2_tower()
+    b = L.add(L.one(), L.gen())
+    assert L.eq(L.mul(b, L.inv(b)), L.one())
+    assert L.eq(L.pow(L.gen(), 4), L.from_rat(rat(2)))
+    assert L.eq(L.pow(b, -2), L.inv(L.mul(b, b)))
+
+
+def test_embeddings_computed_once(monkeypatch):
+    calls = []
+    real = fields._poly_roots
+
+    def counting(coeffs, *args, **kwargs):
+        calls.append(len(coeffs))
+        return real(coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(fields, "_poly_roots", counting)
+    K, L = sqrt2_tower()
+    embs = L.embeddings()
+    assert isinstance(embs, tuple) and len(embs) == 4
+    assert L.embeddings() is embs
+    for _ in range(3):
+        L.to_mpc(L.gen())
+        K.to_mpc(K.gen())
+    # one root finding for K over Q, one for L per embedding of K
+    assert len(calls) == 1 + 2
+    assert K.embeddings() is K.embeddings()
+    assert len(calls) == 3
+
+
+def test_to_mpc_defaults_to_first_embedding():
+    K, L = sqrt2_tower()
+    first = L.embeddings()[0]
+    assert first[:1] == K.embeddings()[0]
+    for a in (L.gen(), L.add(L.one(), L.gen()), L.from_vec([K.gen(), K.one()])):
+        assert L.to_mpc(a) == L.to_mpc(a, first)
+    assert K.to_mpc(K.gen()) == K.to_mpc(K.gen(), K.embeddings()[0])
 
 
 @given(rationals, rationals, rationals, rationals)

@@ -3,15 +3,20 @@
 Coefficients throughout the symbolic pipeline are exact: rationals at the
 bottom, and elements of iterated extensions Q(g1)(g2)... above.  An
 extension element is stored as a coordinate tuple over the power basis of
-its top generator, with entries in the field one level down.  A field is
-only its definition; its numeric embeddings (one complex root per
-generator) are computed on first use and kept, so that elements can be
-approximated, compared against numerics, and serialized deterministically.
+its top generator, with entries in the field one level down, so an element
+of a simple extension Q(g) is a tuple of ``Fraction``.  A product in Q(g)
+is computed on integers over one common denominator and normalized once per
+coordinate; a field over an extension multiplies with the operations of its
+base.  A field is only its definition; its numeric embeddings (one complex
+root per generator) are computed on first use and kept, so that elements
+can be approximated, compared against numerics, and serialized
+deterministically.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 
@@ -213,7 +218,9 @@ class ExtensionField:
 
     ``minpoly`` is a monic coefficient list (low-to-high) over ``base``,
     assumed irreducible there.  Elements are tuples of ``degree`` base
-    elements.  Constructing a field finds no roots: its numeric embeddings
+    elements, so tuples of ``Fraction`` when ``base`` is Q; a product in
+    such a field runs on integers over one common denominator.
+    Constructing a field finds no roots: its numeric embeddings
     are computed on first use by ``embeddings()`` and kept.  The first of
     them is the canonical embedding, the one ``to_mpc`` uses by default.
     """
@@ -234,6 +241,14 @@ class ExtensionField:
             raise ExtensionTooLarge("tower degree %d exceeds cap %d"
                                     % (self.total_degree, DEFAULT_TOWER_CAP))
         self._red = self._reduction_table()
+        if base is QQ:
+            # The same table as integer rows over one common denominator,
+            # for the integer kernel of ``mul``.
+            self._red_den = lcm(*(c.denominator for row in self._red.values()
+                                  for c in row))
+            self._red_int = [[c.numerator * (self._red_den // c.denominator)
+                              for c in self._red[k]]
+                             for k in range(self.degree, 2 * self.degree - 1)]
         self._embeddings = None
 
     def _reduction_table(self):
@@ -305,6 +320,30 @@ class ExtensionField:
 
     def mul(self, a, b):
         base, d = self.base, self.degree
+        if base is QQ:
+            # Over Q: scale each operand to integers over the lcm of its
+            # denominators, multiply and reduce in int, and normalize once
+            # per output coordinate (Cohen, A Course in Computational
+            # Algebraic Number Theory, 4.2).
+            da = lcm(*(x.denominator for x in a))
+            db = lcm(*(y.denominator for y in b))
+            na = [x.numerator * (da // x.denominator) for x in a]
+            nb = [y.numerator * (db // y.denominator) for y in b]
+            prod = [0] * (2 * d - 1)
+            for i, x in enumerate(na):
+                if x:
+                    for j, y in enumerate(nb):
+                        prod[i + j] += x * y
+            den = da * db
+            out = prod[:d]
+            if any(prod[d:]):
+                den *= self._red_den
+                out = [self._red_den * c for c in out]
+                for c, row in zip(prod[d:], self._red_int):
+                    if c:
+                        for i, r in enumerate(row):
+                            out[i] += c * r
+            return tuple(Fraction(n, den) for n in out)
         prod = [base.zero()] * (2 * d - 1)
         for i, x in enumerate(a):
             if base.is_zero(x):
@@ -334,13 +373,16 @@ class ExtensionField:
     def pow(self, a, n):
         if n < 0:
             return self.pow(self.inv(a), -n)
-        out = self.one()
+        if n == 0:
+            return self.one()
+        out = None
         acc = a
         while n:
             if n & 1:
-                out = self.mul(out, acc)
-            acc = self.mul(acc, acc)
+                out = acc if out is None else self.mul(out, acc)
             n >>= 1
+            if n:
+                acc = self.mul(acc, acc)
         return out
 
     def is_zero(self, a):

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import pathlib
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from polarmorse import cli
 from polarmorse.fields import rat
@@ -217,3 +220,41 @@ def test_render_failure_is_internal_error(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 1
     assert out == ""
     assert err == "internal error: broken renderer\n"
+
+
+# Short --f and --ell texts: sums of small terms, malformed probes, or
+# garbage over the parser's alphabet.  Exponents stay small so that every
+# analysis is quick.
+TERMS = st.tuples(
+    st.sampled_from([" + ", " - "]),
+    st.sampled_from(["", "1", "3", "1/2", "7/3", "2.5"]),
+    st.sampled_from(["x", "y", "x^2", "x*y", "y^2", "x^3", "x^2*y",
+                     "(x+y)^2"]),
+).map(lambda t: t[0] + "*".join(s for s in t[1:] if s))
+PROBES = st.sampled_from(["0", "3", "x^", "1/0*x", "1e3*y", "x + y + 1",
+                          "x^2", "(x", "y", "2*x - 3*y"])
+GARBAGE = st.text(alphabet="xyz0+-*/^()., e", max_size=10)
+SUMS = st.lists(TERMS, min_size=1, max_size=4).map(
+    lambda ts: "".join(ts).lstrip(" +"))
+F_TEXTS = st.one_of(SUMS, PROBES, GARBAGE)
+ELL_TEXTS = st.one_of(st.just("x + y"), PROBES, GARBAGE)
+EXTRA_ARGS = st.sampled_from([[], ["--format", "json"], ["--precision", "2"],
+                              ["--precision", "0"], ["--max-redraws", "1"]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(F_TEXTS, st.one_of(st.none(), ELL_TEXTS), EXTRA_ARGS)
+def test_exit_codes_are_documented(f, ell, extra):
+    argv = ["--f=" + f] + ([] if ell is None else ["--ell=" + ell]) + extra
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    event("exit %s" % code)
+    assert code in (cli.EXIT_OK, cli.EXIT_INTERNAL, cli.EXIT_PARSE,
+                    cli.EXIT_GENERICITY, cli.EXIT_MISMATCH, cli.EXIT_TOWER)
+    if code == cli.EXIT_OK:
+        assert err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        text = err.getvalue()
+        assert text.count("\n") == 1 and text.endswith("\n")

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polarmorse import fields
 from polarmorse.fields import (ExtensionField, ExtensionTooLarge,
-                               RationalField, rat)
+                               RationalField, rat, udivmod, umul, utrim)
 
 QQ = RationalField()
 
@@ -132,3 +134,70 @@ def test_to_mpc_tracks_canonical_root():
     with mpmath.workdps(50):
         v = K.to_mpc(K.gen())
         assert abs(v * v - 2) < mpmath.mpf("1e-45")
+
+
+def reference_mul(K, a, b):
+    """a*b in K as the remainder of the schoolbook product by the minimal
+    polynomial, padded to ``K.degree`` coordinates."""
+    base = K.base
+    prod = umul(base, utrim(base, a), utrim(base, b))
+    rem = udivmod(base, prod, list(K.minpoly))[1]
+    return tuple(rem) + (base.zero(),) * (K.degree - len(rem))
+
+
+wide_rationals = st.builds(rat, st.integers(-2 ** 64, 2 ** 64),
+                           st.integers(1, 20))
+
+
+@st.composite
+def field_and_elements(draw):
+    """A field Q(theta) of degree 2-9 whose minimal polynomial has
+    non-integer coefficients and a non-unit leading coefficient, and two
+    elements whose coordinates beyond a drawn length are zero, so that
+    zero and products with no terms of degree >= degree both occur."""
+    d = draw(st.integers(2, 9))
+    lead = draw(wide_rationals.filter(lambda c: c != 0))
+    minpoly = draw(st.lists(wide_rationals, min_size=d, max_size=d)) + [lead]
+    K = ExtensionField(QQ, "t", minpoly)
+
+    def element():
+        n = draw(st.integers(0, d))
+        coords = draw(st.lists(wide_rationals, min_size=n, max_size=n))
+        return K.from_vec(coords)
+
+    return K, element(), element()
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_and_elements())
+def test_mul_over_q_matches_reference(case):
+    K, a, b = case
+    got = K.mul(a, b)
+    assert got == reference_mul(K, a, b)
+    assert all(type(c) is Fraction for c in got)
+    zero = K.mul(a, K.zero())
+    assert zero == K.zero() and all(type(c) is Fraction for c in zero)
+
+
+@given(st.lists(rationals, min_size=4, max_size=4),
+       st.lists(rationals, min_size=4, max_size=4))
+def test_mul_in_tower_matches_reference(p, q):
+    K, L = sqrt2_tower()
+    a = L.from_vec([K.from_vec(p[:2]), K.from_vec(p[2:])])
+    b = L.from_vec([K.from_vec(q[:2]), K.from_vec(q[2:])])
+    for x, y in ((a, b), (a, L.zero()), (L.lift(a[0]), L.lift(b[0]))):
+        got = L.mul(x, y)
+        assert L.eq(got, reference_mul(L, x, y))
+        assert all(type(c) is Fraction for coord in got for c in coord)
+
+
+@given(st.lists(rationals, min_size=2, max_size=2), st.integers(-6, 6))
+def test_pow_matches_repeated_mul(p, n):
+    K = sqrt2_field()
+    a = K.from_vec(p)
+    if n < 0 and K.is_zero(a):
+        return
+    want = K.one()
+    for _ in range(abs(n)):
+        want = K.mul(want, a if n > 0 else K.inv(a))
+    assert K.pow(a, n) == want

@@ -1,12 +1,12 @@
 """Numeric verification of the symbolic attractor report.
 
-Solves the critical-point system grad f = t * (a, b) exactly at rational
-values of t by resultant elimination plus multiprecision root finding,
-tracks the solutions as t decreases, classifies every trajectory as
-converging to an affine attractor or escaping to a direction at infinity
-(with its f-limit), and diffs the cluster sizes against the symbolic
-indices.  Nothing here reuses series expansions: the oracle is an
-independent route to the same counts.
+Solves the critical-point system grad f = t * (a, b) once, at the largest
+t, by resultant elimination plus multiprecision root finding, and carries
+each solution down the schedule by predictor-corrector continuation.
+Each trajectory is classified as converging to an affine attractor or
+escaping to a direction at infinity (with its f-limit), and the cluster
+sizes are diffed against the symbolic indices.  Nothing here reuses
+series expansions: the oracle is an independent route to the same counts.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ QQ = RationalField()
 
 DEFAULT_SCHEDULE = (rat(1, 100), rat(1, 1000), rat(1, 10000), rat(1, 100000))
 MAX_PRECISION = 4096
+NEWTON_STEPS = 16         # corrector iterations per step
+MAX_HALVINGS = 10         # step halvings between two record values of t
 
 
 @dataclass(frozen=True)
@@ -136,40 +138,103 @@ def _back_substitute(f, g1, g2, which, roots, tol):
     return pts
 
 
-def _pair_dist(p, c):
-    """Distance between consecutive positions of one moving critical point.
-
-    Small points are compared absolutely; large (escaping) points by
-    log-norm drift plus (heavily weighted) direction change, since an
-    escaping point keeps its direction while its norm grows."""
-    np_ = max(abs(p[0]), abs(p[1]))
-    nc = max(abs(c[0]), abs(c[1]))
-    if np_ < 1 and nc < 1:
-        return float(abs(p[0] - c[0]) + abs(p[1] - c[1]))
-    drift = abs(mpmath.log((nc + 1) / (np_ + 1)))
-    up = (p[0] / np_, p[1] / np_) if np_ > 0 else (0, 0)
-    uc = (c[0] / nc, c[1] / nc) if nc > 0 else (0, 0)
-    ang = abs(up[0] - uc[0]) + abs(up[1] - uc[1])
-    return float(drift + 5 * ang)
+def _dist(p, q):
+    return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
 
 
-def _match_sets(prev, cur):
-    """Globally-greedy nearest-neighbor matching of consecutive sets."""
-    if len(prev) != len(cur):
+def _hessian_solve(hessian, p, u, v):
+    """H(p)^-1 (u, v) for the Hessian H of f; None when H(p) is singular."""
+    h11, h12, h22 = (_eval_numeric(h, p[0], p[1]) for h in hessian)
+    det = h11 * h22 - h12 * h12
+    if det == 0:
         return None
-    pairs = sorted((_pair_dist(p, c), i, j)
-                   for i, p in enumerate(prev) for j, c in enumerate(cur))
-    order = [None] * len(prev)
-    used = set()
-    for _d, i, j in pairs:
-        if order[i] is None and j not in used:
-            order[i] = j
-            used.add(j)
-    return order
+    return ((h22 * u - h12 * v) / det, (h11 * v - h12 * u) / det)
+
+
+def _newton(system, ell, p, t):
+    """Newton on (f_x - t*a, f_y - t*b) from p at the working precision;
+    None unless a correction falls to 2^(-prec/2) of each coordinate (or
+    2^(-3prec/4) of the point, for a coordinate at round-off)."""
+    fx, fy, hessian = system
+    ta, tb = _to_mpf(t * ell.a), _to_mpf(t * ell.b)
+    prec = mpmath.mp.prec
+    eps = mpmath.ldexp(1, -(prec // 2))
+    last = None
+    for _ in range(NEWTON_STEPS):
+        d = _hessian_solve(hessian, p, _eval_numeric(fx, *p) - ta,
+                           _eval_numeric(fy, *p) - tb)
+        if d is None:
+            return None
+        p = (p[0] - d[0], p[1] - d[1])
+        floor = mpmath.ldexp(max(abs(p[0]), abs(p[1])), -(prec // 4))
+        if all(abs(di) <= eps * max(abs(c), floor) for di, c in zip(d, p)):
+            return p
+        size = max(abs(d[0]), abs(d[1]))
+        if last is not None and size > last:
+            return None           # diverging: the step was too long
+        last = size
+    return None
+
+
+def _carry(system, ell, p, t, t_next, gap, depth=0):
+    """The point at t_next on the path through p at t, or None.
+
+    Euler predictor p + (t_next - t) H^-1 (a, b), then Newton.  The step
+    is accepted when Newton converges with a correction under a quarter
+    of ``gap``, the distance from p to its nearest neighbour; otherwise
+    it is halved, at most MAX_HALVINGS deep."""
+    v = _hessian_solve(system[2], p, _to_mpf(ell.a), _to_mpf(ell.b))
+    if v is not None:
+        dt = _to_mpf(t_next - t)
+        guess = (p[0] + dt * v[0], p[1] + dt * v[1])
+        q = _newton(system, ell, guess, t_next)
+        if q is not None and _dist(q, guess) < gap / 4:
+            return q
+    if depth == MAX_HALVINGS:
+        return None
+    mid = (t + t_next) / 2
+    m = _carry(system, ell, p, t, mid, gap, depth + 1)
+    return m and _carry(system, ell, m, mid, t_next, gap, depth + 1)
+
+
+def _gaps(points):
+    """Each point's distance to its nearest neighbour, or None when two
+    points agree to a quarter of the working precision: two paths merged."""
+    gaps = []
+    for i, p in enumerate(points):
+        gap = min((_dist(p, q) for j, q in enumerate(points) if j != i),
+                  default=mpmath.inf)
+        if gap <= mpmath.ldexp(max(abs(p[0]), abs(p[1])), -(mpmath.mp.prec // 4)):
+            return None
+        gaps.append(gap)
+    return gaps
+
+
+def _track(f, ell, fine, precision):
+    """Solve once at fine[0] and carry every critical point through the
+    later values of ``fine``: one list of points per trajectory, in the
+    solver's order, or None when some step fails or two paths merge."""
+    fx, fy = f.diff(0), f.diff(1)
+    system = (fx, fy, (fx.diff(0), fx.diff(1), fy.diff(1)))
+    trajectories = [[p] for p in critical_points(f, ell, fine[0], precision).points]
+    with mpmath.workprec(precision):
+        for t, t_next in zip(fine, fine[1:]):
+            gaps = _gaps([tr[-1] for tr in trajectories])
+            if gaps is None:
+                return None
+            for tr, gap in zip(trajectories, gaps):
+                q = _carry(system, ell, tr[-1], t, t_next, gap)
+                if q is None:
+                    return None
+                tr.append(q)
+        if _gaps([tr[-1] for tr in trajectories]) is None:
+            return None
+    return trajectories
 
 
 def _refine_schedule(schedule):
-    """Insert halving steps so consecutive solves stay close."""
+    """Insert halving steps: the values of t at which every trajectory is
+    recorded."""
     out = []
     for t, t_next in zip(schedule, schedule[1:]):
         s = t
@@ -190,26 +255,11 @@ def classify_trajectories(f, ell, schedule, report, precision=256):
         raise ValueError("need a strictly decreasing schedule of length >= 3")
     if any(t <= 0 for t in schedule):
         raise ValueError("the schedule values must be positive")
-    sets = None
-    while True:
-        fine = _refine_schedule(schedule)
-        sets = [critical_points(f, ell, t, precision) for t in fine]
-        counts = {len(s.points) for s in sets}
-        if len(counts) == 1:
-            break
-        schedule = [t / 2 for t in schedule]  # collision: shrink the window
-
-    trajectories = [[p] for p in sets[0].points]
-    prev = list(sets[0].points)
-    for s in sets[1:]:
-        order = _match_sets(prev, list(s.points))
-        if order is None:
-            return OracleVerdict(tuple(schedule), {}, False,
-                                 ["trajectory matching failed"])
-        cur = [s.points[j] for j in order]
-        for tr, p in zip(trajectories, cur):
-            tr.append(p)
-        prev = cur
+    fine = _refine_schedule(schedule)
+    trajectories = _track(f, ell, fine, precision)
+    if trajectories is None:
+        return OracleVerdict(tuple(schedule), {}, False,
+                             ["trajectory tracking failed"])
 
     individuals = report.individuals
     t_min = fine[-1]

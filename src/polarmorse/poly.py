@@ -69,19 +69,6 @@ class Poly:
         e[i] = 1
         return Poly(field, arity, {tuple(e): field.one()})
 
-    @staticmethod
-    def make(field, arity, items):
-        terms = {}
-        for e, c in items:
-            e = tuple(e)
-            if e in terms:
-                c = field.add(terms[e], c)
-            if field.is_zero(c):
-                terms.pop(e, None)
-            else:
-                terms[e] = c
-        return Poly(field, arity, terms)
-
     # -- basic queries --------------------------------------------------
     def is_zero(self):
         return not self.terms

@@ -163,7 +163,7 @@ def _expand_core(F, field, target, depth, top_level):
                 f2 = ExtensionField(field, name, h.coeffs_in(0))
                 c0 = f2.gen()
                 F2 = F.to_field(f2)
-            if field.is_zero(c0) if f2 is field else f2.is_zero(c0):
+            if f2.is_zero(c0):
                 continue  # zero root corresponds to no branch on this edge
             G1 = _duval_substitute(F2, f2, c0, p, q, a, b, weight)
             c0b = f2.pow(c0, b)
@@ -182,20 +182,17 @@ def _expand_core(F, field, target, depth, top_level):
     return branches
 
 
-def expand_branches(F, center=None, target_order=None):
-    """All branch classes of F = 0 through ``center`` (default: origin).
+def expand_branches(F, target_order=None):
+    """All branch classes of F = 0 through the origin.
 
-    ``F`` must be bivariate and squarefree; ``center`` is a pair of
-    elements of F's field.  Each branch satisfies F(x(s), y(s)) = 0
-    exactly to its truncation.
+    ``F`` must be bivariate and squarefree.  Each branch satisfies
+    F(x(s), y(s)) = 0 exactly to its truncation.
     """
     if F.is_zero():
         raise ValueError("cannot expand branches of the zero polynomial")
     field = F.field
-    if center is not None and any(not field.is_zero(c) for c in center):
-        F = F.translate(center)
     if not field.is_zero(F.constant_term()):
-        raise ValueError("the curve does not pass through the requested center")
+        raise ValueError("the curve does not pass through the origin")
     if target_order is None:
         target_order = 2 * F.total_degree() + 2
     return [PuiseuxBranch(*b) for b in _expand_core(F, field, target_order, 0, True)]

@@ -1,11 +1,14 @@
+import signal
+
 import mpmath
 import pytest
 
+from polarmorse import cli, oracle
 from polarmorse.fields import rat
 from polarmorse.poly import parse_poly
 from polarmorse.morse import analyze_symbolic
-from polarmorse.oracle import (DEFAULT_SCHEDULE, classify_trajectories,
-                               critical_points)
+from polarmorse.oracle import (DEFAULT_SCHEDULE, _dist, _refine_schedule,
+                               _track, classify_trajectories, critical_points)
 
 V = ("x", "y")
 
@@ -105,3 +108,95 @@ def test_classify_rejects_nonpositive_schedule(cubic_tail, ell_xy, schedule,
     report = analyze_symbolic(cubic_tail, ell=ell_xy)
     with pytest.raises(ValueError):
         classify_trajectories(cubic_tail, ell_xy, schedule, report)
+
+
+def _norm(p):
+    return max(abs(p[0]), abs(p[1]))
+
+
+def test_tracked_points_match_solves(cubic_tail, quintic_node, sextic_eight,
+                                     ell_xy):
+    # the continuation must reproduce an independent solve at every
+    # record value of t, one tracked point per solved point
+    tower = parse_poly("(x^2-2)^2 + (y^2-x)^2", V)
+    fine = _refine_schedule(DEFAULT_SCHEDULE)
+    for f in (cubic_tail, quintic_node, sextic_eight, tower):
+        trajectories = _track(f, ell_xy, fine, 256)
+        assert trajectories is not None, f
+        for k, t in enumerate(fine):
+            tracked = [tr[k] for tr in trajectories]
+            solved = critical_points(f, ell_xy, t).points
+            assert len(tracked) == len(solved)
+            nearest = set()
+            for p in tracked:
+                d, j = min((_dist(p, q), j) for j, q in enumerate(solved))
+                assert d <= 1e-30 * _norm(p), (t, p)
+                nearest.add(j)
+            assert len(nearest) == len(solved), t
+            for i, p in enumerate(tracked):
+                for q in tracked[:i]:
+                    assert _dist(p, q) > 1e-30 * _norm(p), (t, p)
+
+
+def test_tiny_t_schedule_finishes(capsys):
+    # 1,324 record values of t between 1e-3 and 1e-400
+    def timeout(signum, frame):
+        raise TimeoutError("the oracle ran for more than 60 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        code = cli.main(["--f", "x + x^2*y", "--ell", "x + y", "--verify",
+                         "--t-schedule", "1e-2,1e-3,1e-400"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK, captured.err
+    assert "verification: matched=True" in captured.out
+
+
+def test_one_solve_and_tracking_failure(sextic_eight, ell_xy, monkeypatch,
+                                        capsys):
+    report = analyze_symbolic(sextic_eight, ell=ell_xy)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return critical_points(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "critical_points", counted)
+    v = classify_trajectories(sextic_eight, ell_xy, DEFAULT_SCHEDULE, report)
+    assert v.matched, v.mismatches
+    assert len(calls) == 1
+
+    # a corrector that never converges fails every step at every halving
+    monkeypatch.setattr(oracle, "_newton", lambda *args: None)
+    v = classify_trajectories(sextic_eight, ell_xy, DEFAULT_SCHEDULE, report)
+    assert not v.matched
+    assert v.mismatches == ["trajectory tracking failed"]
+    code = cli.main(["--f", "x*y + 1/3*x^3*y^2 + x^6", "--ell", "x + y",
+                     "--verify"])
+    assert code == cli.EXIT_MISMATCH == 4
+    assert "trajectory tracking failed" in capsys.readouterr().out
+
+
+def test_merged_paths_fail_tracking(quintic_node, ell_xy, monkeypatch):
+    # paths that land on one point at the last record value of t, where
+    # no later step can notice, must not be counted as two trajectories
+    report = analyze_symbolic(quintic_node, ell=ell_xy)
+    carry = oracle._carry
+    t_last = _refine_schedule(DEFAULT_SCHEDULE)[-1]
+    ends = []
+
+    def merging(system, ell, p, t, t_next, gap, depth=0):
+        q = carry(system, ell, p, t, t_next, gap, depth)
+        if depth == 0 and t_next == t_last:
+            ends.append(q)
+            return ends[0]
+        return q
+
+    monkeypatch.setattr(oracle, "_carry", merging)
+    v = classify_trajectories(quintic_node, ell_xy, DEFAULT_SCHEDULE, report)
+    assert len(ends) >= 2
+    assert v.mismatches == ["trajectory tracking failed"]

@@ -77,15 +77,12 @@ def test_ramified_class_over_extension():
 
 
 def test_expand_at_shifted_center():
-    F = parse_poly("y^2 - x^3", V).translate((rat(-1), rat(-1)))
-    # curve through (1, 1) shifted to the origin... undo: expand at (1,1)
-    G = parse_poly("y^2 - x^3", V)
-    brs = expand_branches(G, center=(rat(1), rat(1)), target_order=8)
+    # the curve through (1, 1), translated so that point is the origin
+    G = parse_poly("y^2 - x^3", V).translate((rat(1), rat(1)))
+    brs = expand_branches(G, target_order=8)
     assert len(brs) >= 1
     for b in brs:
-        # residual of the translated germ
-        r = poly_at_series(G.translate((rat(1), rat(1))).to_field(b.field),
-                           (b.x_series, b.y_series))
+        r = poly_at_series(G.to_field(b.field), (b.x_series, b.y_series))
         assert r.is_zero_shown()
 
 
@@ -124,7 +121,7 @@ def _fiber_contact_total(G, x0=rat(0)):
         if fac.degree_in(0) == 0:
             continue
         fld, y0 = _root_class(fac, QQ)
-        brs = expand_branches(G.to_field(fld), center=(fld.zero(), y0),
+        brs = expand_branches(G.to_field(fld).translate((fld.zero(), y0)),
                               target_order=2 * G.total_degree() + 6)
         for b in brs:
             ser = poly_at_series(

@@ -213,6 +213,19 @@ def _poly_roots(coeffs_mpc, maxsteps=300):
     return sorted(roots, key=lambda z: (mpmath.mpf(z.real), mpmath.mpf(z.imag)))
 
 
+def conj_key(z):
+    """Sort and dedup key of a complex approximation: (re, im) rounded to a
+    1e-30 grid at 40 digits, so numbers equal up to that grid share it."""
+    with mpmath.workdps(40):
+        return tuple(int(mpmath.nint(v * 10 ** 30)) for v in (z.real, z.imag))
+
+
+def distinct_sorted(values):
+    """One value per ``conj_key``, in key order."""
+    out = {conj_key(z): z for z in values}
+    return [out[k] for k in sorted(out)]
+
+
 class ExtensionField:
     """A simple algebraic extension of ``base`` by a root of ``minpoly``.
 

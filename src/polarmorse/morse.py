@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .fields import RationalField, _poly_roots, coerce, rat
+from .fields import RationalField, coerce, conj_key, distinct_sorted, rat
 from .poly import Poly, minpoly_over
 from .polar import (GenericityError, LinearForm, check_genericity,
                     draw_generic_ell, polar_equation, singular_locus)
@@ -60,7 +60,6 @@ class Attractor:
     alpha_kind: str            # "finite" | "infinite"
     alpha_field: object
     alpha_value: object        # representative value when finite
-    alpha_minpoly: object      # minpoly of alpha over Q (finite case)
     index: int
     n_points: int
     contributions: tuple
@@ -101,7 +100,8 @@ def _component_candidates(polar, sing):
 
 
 def _numeric_key(values):
-    """Sort and dedup key of complex values, to 25 significant digits."""
+    """Sort key of embeddings: their values as 25-digit strings, compared as
+    strings, not numbers, so -1.5 comes before -2.5.  Fixes the JSON order."""
     return tuple((mpmath.nstr(v.real, 25), mpmath.nstr(v.imag, 25))
                  for v in values)
 
@@ -109,7 +109,7 @@ def _numeric_key(values):
 def _point_key(p):
     """Numeric dedup key for an affine point class (canonical embedding)."""
     with mpmath.workdps(40):
-        return _numeric_key((p.field.to_mpc(p.x), p.field.to_mpc(p.y)))
+        return (conj_key(p.field.to_mpc(p.x)), conj_key(p.field.to_mpc(p.y)))
 
 
 def _on_polar(polar, points):
@@ -191,8 +191,7 @@ def affine_index(f, ell, polar, pcls, bound=None):
 
     contribs = _expand_retry(germ, compute, bound)
     index = sum(c.contribution * c.conj_multiplicity for c in contribs)
-    mp = minpoly_over(L, fp, QQ) if L is not QQ else None
-    return Attractor("affine", pcls, None, "finite", L, fp, mp,
+    return Attractor("affine", pcls, None, "finite", L, fp,
                      index, pcls.conj, tuple(contribs))
 
 
@@ -289,7 +288,7 @@ def infinity_index(f, ell, polar, ipcls, chart=None, bound=None):
             e = 1
             index = sum(c.contribution * c.conj_multiplicity for c in contribs)
             out.append(Attractor("infinity", ipcls, chart, "infinite",
-                                 None, None, None, index, ipcls.conj * e, contribs))
+                                 None, None, index, ipcls.conj * e, contribs))
         else:
             mp = key[1]
             e = mp.degree_in(0)
@@ -299,9 +298,8 @@ def infinity_index(f, ell, polar, ipcls, chart=None, bound=None):
                     raise AssertionError("branch orbit not divisible by alpha orbit")
                 index += c.contribution * (c.conj_multiplicity // e)
             br0, a0 = members[0][0], members[0][1]
-            mp_qq = minpoly_over(br0.field, a0, QQ) if br0.field is not QQ else None
             out.append(Attractor("infinity", ipcls, chart, "finite",
-                                 br0.field, a0, mp_qq, index,
+                                 br0.field, a0, index,
                                  ipcls.conj * e, contribs))
     return out
 
@@ -362,15 +360,12 @@ def expand_individuals(attractors):
     """Expand orbit records into individual attractors, deterministically.
 
     An orbit has one location per embedding of its point field.  A finite
-    alpha outside that field contributes, at each embedding, every root of
-    its minimal polynomial over the point field."""
+    alpha contributes, at each embedding, its distinct values under the
+    embeddings of its own field that extend it (its conjugates over K)."""
     out = []
     with mpmath.workdps(40):
         for a in attractors:
-            K = a.point.field
-            alpha_mp = None
-            if a.alpha_kind == "finite" and a.alpha_field is not K:
-                alpha_mp = minpoly_over(a.alpha_field, a.alpha_value, K)
+            K, F = a.point.field, a.alpha_field
             first = len(out)
             for emb in sorted(K.embeddings(), key=_numeric_key):
                 if a.kind == "affine":
@@ -381,11 +376,10 @@ def expand_individuals(attractors):
                     loc = (K.to_mpc(a.point.u, emb),)
                 if a.alpha_kind == "infinite":
                     alphas = [INFINITE]
-                elif alpha_mp is None:
-                    alphas = [K.to_mpc(a.alpha_value, emb)]
                 else:
-                    alphas = _poly_roots([K.to_mpc(c, emb)
-                                          for c in alpha_mp.coeffs_in(0)])
+                    alphas = distinct_sorted(
+                        F.to_mpc(a.alpha_value, E) for E in F.embeddings()
+                        if E[:len(emb)] == emb)
                 out.extend(IndividualAttractor(a, loc, al, a.index)
                            for al in alphas)
             assert len(out) - first == a.n_points, (

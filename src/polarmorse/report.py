@@ -1,12 +1,13 @@
 """Serialization of Morse reports: canonical JSON and readable text.
 
 Each individual attractor of the report is one entry.  The exact data of
-an orbit (minimal polynomials over Q and their sorted roots) is computed
-once and shared by its conjugates.  Algebraic numbers serialize as an
-exact minimal polynomial over Q plus a floating approximation and a
-deterministic root index (roots of the minimal polynomial sorted
-lexicographically by (re, im)); rationals serialize as exact "p/q"
-strings.  JSON output is canonical (sorted keys, fixed float
+an orbit (the minimal polynomials over Q of its coordinates and limit
+value) is computed once and shared by its conjugates; their numeric
+values are the ones the individuals carry, from the field embeddings.
+Algebraic numbers serialize as an exact minimal polynomial over Q plus a
+floating approximation and a deterministic root index (the position among
+the distinct conjugates sorted by (re, im)); rationals serialize as exact
+"p/q" strings.  JSON output is canonical (sorted keys, fixed float
 formatting), so identical runs are byte-identical.
 """
 
@@ -14,9 +15,7 @@ from __future__ import annotations
 
 import json
 
-import mpmath
-
-from .fields import RationalField, _poly_roots
+from .fields import RationalField, conj_key
 from .poly import minpoly_over, poly_str
 
 QQ = RationalField()
@@ -38,38 +37,27 @@ def _minpoly_str(mp):
     return poly_str(mp, ("T",))
 
 
-def _conjugates_json(mp, value):
-    """JSON encoder of the conjugates of one algebraic number.
+def _conjugates_json(field, value, conjugates):
+    """JSON encoder of the conjugates of ``value``, an element of ``field``.
 
-    ``mp`` is its minimal polynomial over Q, or None when ``value`` is
-    rational.  The minimal polynomial and its sorted roots are computed
-    here once; the returned function maps the approximation of one
-    conjugate to its JSON entry, whose root index is that of the nearest
-    root."""
-    if mp is not None and mp.degree_in(0) == 1:
-        value = QQ.neg(QQ.div(mp.constant_term(), mp.terms[(1,)]))
-        mp = None
-    if mp is None:
-        text = _rat_str(value)
+    ``conjugates`` are the approximations that the orbit's individuals
+    carry, with repeats.  The minimal polynomial over Q is computed here
+    once.  The root index of a conjugate is its position among the
+    distinct conjugates in (re, im) order, certified by their number being
+    the degree of the minimal polynomial.  The returned function maps one
+    conjugate to its JSON entry."""
+    mp = minpoly_over(field, value, QQ) if field is not QQ else None
+    if mp is None or mp.degree_in(0) == 1:
+        text = _rat_str(value if mp is None else -mp.constant_term())
         return lambda approx: {"rational": text}
     text = _minpoly_str(mp)
-    with mpmath.workdps(40):
-        roots = _poly_roots([mpmath.mpf(c.numerator) / c.denominator
-                             for c in mp.coeffs_in(0)])
-
-    def encode(approx):
-        with mpmath.workdps(40):
-            k = min(range(len(roots)), key=lambda k: abs(roots[k] - approx))
-        return {"min_poly": text,
-                "approx": [_f(approx.real), _f(approx.imag)],
-                "root_index": k}
-    return encode
-
-
-def _coordinate_json(field, value):
-    """Encoder of the conjugates of one coordinate of an orbit's point."""
-    mp = minpoly_over(field, value, QQ) if field is not QQ else None
-    return _conjugates_json(mp, value)
+    keys = sorted({conj_key(z) for z in conjugates})
+    if len(keys) != mp.degree_in(0):
+        raise ArithmeticError("%d distinct conjugates of a root of %s"
+                              % (len(keys), text))
+    return lambda approx: {"min_poly": text,
+                           "approx": [_f(approx.real), _f(approx.imag)],
+                           "root_index": keys.index(conj_key(approx))}
 
 
 def _branch_json(c):
@@ -82,12 +70,15 @@ def _branch_json(c):
 def _orbit_docs(a, individuals):
     """JSON entries of the individual attractors of one orbit ``a``."""
     p = a.point
+    locs = [ind.location for ind in individuals]
     if a.kind == "affine":
-        xs, ys = _coordinate_json(p.field, p.x), _coordinate_json(p.field, p.y)
+        xs = _conjugates_json(p.field, p.x, [loc[0] for loc in locs])
+        ys = _conjugates_json(p.field, p.y, [loc[1] for loc in locs])
     elif p.u is not None:
-        us = _coordinate_json(p.field, p.u)
+        us = _conjugates_json(p.field, p.u, [loc[0] for loc in locs])
     if a.alpha_kind == "finite":
-        alphas = _conjugates_json(a.alpha_minpoly, a.alpha_value)
+        alphas = _conjugates_json(a.alpha_field, a.alpha_value,
+                                  [ind.alpha for ind in individuals])
     out = []
     for ind in individuals:
         if a.kind == "affine":

@@ -14,7 +14,7 @@ import mpmath
 import pytest
 
 from polarmorse.fields import RationalField, rat
-from polarmorse.poly import Poly, parse_poly, poly_str, resultant
+from polarmorse.poly import Poly, minpoly_over, parse_poly, poly_str, resultant
 from polarmorse.polar import LinearForm, polar_equation
 from polarmorse.morse import (_chart_polys, analyze_symbolic, chart_center,
                               infinity_index)
@@ -208,9 +208,10 @@ def test_criterion_5_vanishing_count_formula():
 def _alpha_key(a):
     if a.alpha_kind == "infinite":
         return ("infinite",)
-    if a.alpha_minpoly is None:
+    if a.alpha_field is QQ:
         return ("finite", str(a.alpha_value))
-    return ("finite", poly_str(a.alpha_minpoly, ("T",)))
+    mp = minpoly_over(a.alpha_field, a.alpha_value, QQ)
+    return ("finite", poly_str(mp, ("T",)))
 
 
 def test_criterion_6_chart_independence(golden):

@@ -4,9 +4,9 @@ import json
 import mpmath
 import pytest
 
-from polarmorse import report
-from polarmorse.fields import RationalField, rat
-from polarmorse.morse import analyze_symbolic
+from polarmorse import morse, report
+from polarmorse.fields import ExtensionField, RationalField, rat
+from polarmorse.morse import analyze_symbolic, expand_individuals
 from polarmorse.polar import LinearForm
 from polarmorse.poly import parse_poly
 from polarmorse.report import to_json
@@ -14,13 +14,19 @@ from polarmorse.report import to_json
 V = ("x", "y")
 QQ = RationalField()
 
-# (f, ell, seed): the three goldens, and an input whose conjugate orbits
-# have roots that are not in the order of the orbit's embeddings.
+# (f, ell, seed): the three goldens; an input whose conjugate orbits have
+# roots that are not in the order of the orbit's embeddings; an orbit over
+# Q whose limit values +-sqrt(2) lie outside the point field; verify-d6
+# input 23, whose limit values lie outside the point field; and conjugate
+# points +-i with equal real parts.
 INPUTS = {
     "cubic": ("x + x^2*y", LinearForm(rat(1), rat(1)), 0),
     "quintic": ("x*y + 1/3*x^3*y^2", LinearForm(rat(1), rat(1)), 0),
     "sextic": ("x*y + 1/3*x^3*y^2 + x^6", LinearForm(rat(1), rat(1)), 0),
     "seed6": ("1/2*x^3*y + 3/7*y^2 - x + 1/2", None, 6),
+    "sqrt2_alpha": ("x*(y^2-2)^2 + y", None, 0),
+    "d6_23": ("-2/3*x^3*y^2 + 2/3*x^2*y + 2*x^5 - 3*x - 2/3*x^3", None, 24),
+    "plus_minus_i": ("(x^2+1)^2 + y^2", LinearForm(rat(1), rat(1)), 0),
 }
 
 
@@ -66,6 +72,35 @@ def test_root_index_is_position_among_sorted_roots(name):
         assert entry["root_index"] == expected_root_index(entry), entry
 
 
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_no_root_finding_after_analysis(monkeypatch, name):
+    # every route to fields._poly_roots ends in mpmath.polyroots
+    f, ell, seed = INPUTS[name]
+    rep = analyze_symbolic(parse_poly(f, V), ell=ell, seed=seed)
+    calls = []
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(mpmath, "polyroots", counted(mpmath.polyroots))
+    to_json(rep)
+    monkeypatch.setattr(morse, "minpoly_over", counted(morse.minpoly_over))
+    assert expand_individuals(rep.attractors) == rep.individuals
+    assert calls == []
+
+
+def test_conjugates_json_certifies_their_number():
+    K = ExtensionField(QQ, "a", [rat(-2), rat(0), rat(1)])
+    roots = [K.to_mpc(K.gen(), emb) for emb in K.embeddings()]
+    encode = report._conjugates_json(K, K.gen(), roots + roots[::-1])
+    assert [encode(z)["root_index"] for z in roots] == [0, 1]
+    with pytest.raises(ArithmeticError):
+        report._conjugates_json(K, K.gen(), roots[:1])
+
+
 def test_minpoly_once_per_orbit_coordinate(monkeypatch, sextic_eight, ell_xy):
     rep = analyze_symbolic(sextic_eight, ell=ell_xy)
     calls = []
@@ -77,14 +112,16 @@ def test_minpoly_once_per_orbit_coordinate(monkeypatch, sextic_eight, ell_xy):
 
     monkeypatch.setattr(report, "minpoly_over", counted)
     to_json(rep)
-    coordinates = []
+    expected, alphas = [], 0
     for a in rep.attractors:
         p = a.point
-        if p.field is QQ:
-            continue
-        if a.kind == "affine":
-            coordinates += [p.x, p.y]
-        elif p.u is not None:
-            coordinates.append(p.u)
-    assert coordinates
-    assert calls == coordinates
+        if p.field is not QQ:
+            if a.kind == "affine":
+                expected += [p.x, p.y]
+            elif p.u is not None:
+                expected.append(p.u)
+        if a.alpha_kind == "finite" and a.alpha_field is not QQ:
+            expected.append(a.alpha_value)
+            alphas += 1
+    assert alphas and len(expected) > alphas
+    assert calls == expected

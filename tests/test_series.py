@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polarmorse.fields import ExtensionField, RationalField, rat
 from polarmorse.poly import parse_poly
@@ -63,9 +63,18 @@ def test_negative_power():
 
 
 @given(laurent_strategy(), laurent_strategy(), laurent_strategy())
+@example(series_from([(-4, 1)], trunc=12),
+         series_from([(2, 1), (-4, -1)], trunc=12),
+         series_from([(6, 1)], trunc=12))
 @settings(max_examples=60, deadline=None)
 def test_ring_identities(a, b, c):
-    assert (a + b) * c == a * c + b * c
+    # a + b may cancel its low terms, so (a+b)*c can be known further
+    # than a*c + b*c: they agree up to the smaller truncation
+    lhs, rhs = (a + b) * c, a * c + b * c
+    if lhs.trunc == rhs.trunc:
+        assert lhs == rhs
+    else:
+        assert (lhs - rhs).is_zero_shown()
     assert a * b == b * a
     assert (a - a).is_zero_shown()
 

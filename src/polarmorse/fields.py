@@ -10,7 +10,8 @@ coordinate; a field over an extension multiplies with the operations of its
 base.  A field is only its definition; its numeric embeddings (one complex
 root per generator) are computed on first use and kept, so that elements
 can be approximated, compared against numerics, and serialized
-deterministically.
+deterministically.  Numbers are sorted and deduplicated by one key,
+``conj_key``, so no order depends on how a field is presented.
 """
 
 from __future__ import annotations
@@ -61,9 +62,6 @@ class RationalField:
 
     def from_rat(self, r):
         return rat(r)
-
-    def lift(self, x):
-        raise TypeError("rationals have no base field")
 
     def add(self, a, b):
         return a + b
@@ -202,20 +200,22 @@ def ugcdext(field, a, b):
     return r0, s0, t0
 
 
-def _poly_roots(coeffs_mpc, maxsteps=300):
-    """All complex roots of a polynomial given low-to-high mpc coefficients."""
+def _poly_roots(coeffs_mpc):
+    """All complex roots of a polynomial given low-to-high mpc coefficients,
+    in ``conj_key`` order."""
     cs = list(coeffs_mpc)
     while cs and abs(cs[-1]) == 0:
         cs.pop()
     if len(cs) <= 1:
         return []
-    roots = mpmath.polyroots(list(reversed(cs)), maxsteps=maxsteps, extraprec=200)
-    return sorted(roots, key=lambda z: (mpmath.mpf(z.real), mpmath.mpf(z.imag)))
+    roots = mpmath.polyroots(list(reversed(cs)), maxsteps=300, extraprec=200)
+    return sorted(roots, key=conj_key)
 
 
 def conj_key(z):
     """Sort and dedup key of a complex approximation: (re, im) rounded to a
-    1e-30 grid at 40 digits, so numbers equal up to that grid share it."""
+    1e-30 grid at 40 digits, so numbers equal up to that grid share it.
+    The only key by which numbers are ordered."""
     with mpmath.workdps(40):
         return tuple(int(mpmath.nint(v * 10 ** 30)) for v in (z.real, z.imag))
 
@@ -411,7 +411,7 @@ class ExtensionField:
     def embeddings(self):
         """All numeric embeddings of the tower, as tuples of generator values,
         each base embedding followed by the roots of ``minpoly`` under it in
-        ``_poly_roots`` order.  Computed once, on first use."""
+        ``conj_key`` order.  Computed once, on first use."""
         if self._embeddings is None:
             out = []
             with mpmath.workdps(EMBED_DPS):
@@ -458,7 +458,7 @@ def coerce(field, src_field, x):
     return field.lift_from(src_field, x)
 
 
-def fresh_name(field, prefix="a"):
+def fresh_name(field, prefix):
     used = {lvl.name for lvl in field.levels()}
     k = len(used)
     while "%s%d" % (prefix, k) in used:

@@ -99,13 +99,6 @@ def _component_candidates(polar, sing):
     return out
 
 
-def _numeric_key(values):
-    """Sort key of embeddings: their values as 25-digit strings, compared as
-    strings, not numbers, so -1.5 comes before -2.5.  Fixes the JSON order."""
-    return tuple((mpmath.nstr(v.real, 25), mpmath.nstr(v.imag, 25))
-                 for v in values)
-
-
 def _point_key(p):
     """Numeric dedup key for an affine point class (canonical embedding)."""
     with mpmath.workdps(40):
@@ -281,8 +274,7 @@ def infinity_index(f, ell, polar, ipcls, chart=None, bound=None):
             key = ("finite", mp)
         groups.setdefault(key, []).append((br, alpha, mp, contrib))
     out = []
-    for key in sorted(groups, key=_group_sort_key):
-        members = groups[key]
+    for key, members in groups.items():
         contribs = tuple(c for _b, _a, _m, c in members)
         if key[0] == "infinite":
             e = 1
@@ -304,12 +296,6 @@ def infinity_index(f, ell, polar, ipcls, chart=None, bound=None):
     return out
 
 
-def _group_sort_key(key):
-    if key[0] == "infinite":
-        return (1, "")
-    return (0, str(key[1]))
-
-
 def total_morse_number(attractors):
     return sum(a.total() for a in attractors)
 
@@ -325,24 +311,6 @@ def compute_attractors(f, ell, polar, sing):
     return out
 
 
-def _attractor_sort_key(a):
-    with mpmath.workdps(40):
-        if a.kind == "affine":
-            zx = a.point.field.to_mpc(a.point.x)
-            zy = a.point.field.to_mpc(a.point.y)
-            return (0, float(zx.real), float(zx.imag), float(zy.real),
-                    float(zy.imag), 0.0)
-        if a.point.u is None:
-            loc = (1, float("inf"), 0.0, 0.0, 0.0)
-        else:
-            zu = a.point.field.to_mpc(a.point.u)
-            loc = (1, float(zu.real), float(zu.imag), 0.0, 0.0)
-        akey = 2.0 if a.alpha_kind == "infinite" else (
-            0.0 if a.alpha_field is None else float(
-                a.alpha_field.to_mpc(a.alpha_value).real))
-        return loc + (akey,)
-
-
 @dataclass(frozen=True)
 class IndividualAttractor:
     """One concrete attractor: a numeric location with its limit value.
@@ -356,42 +324,65 @@ class IndividualAttractor:
     index: int
 
 
-def expand_individuals(attractors):
-    """Expand orbit records into individual attractors, deterministically.
+def _individual_key(ind):
+    """Order of individual attractors: affine points by x, then y; then
+    points [u : 1 : 0] by u; then [1 : 0 : 0].  At one location a finite
+    alpha comes before an infinite one.  Every number compares by
+    ``conj_key``."""
+    a = ind.parent
+    if a.kind == "affine":
+        loc = (0,) + tuple(conj_key(z) for z in ind.location)
+    elif a.point.u is None:
+        loc = (2,)
+    else:
+        loc = (1, conj_key(ind.location[0]))
+    return loc + ((1,) if ind.alpha is INFINITE else (0, conj_key(ind.alpha)))
 
-    An orbit has one location per embedding of its point field.  A finite
-    alpha contributes, at each embedding, its distinct values under the
-    embeddings of its own field that extend it (its conjugates over K)."""
+
+def _orbit_individuals(a):
+    """The individual attractors of one orbit record, in ``_individual_key``
+    order.  There is one location per embedding of the point field K; a
+    finite alpha contributes, at each embedding, its distinct values under
+    the embeddings of its own field that extend it (its conjugates over K)."""
+    K, F = a.point.field, a.alpha_field
     out = []
     with mpmath.workdps(40):
-        for a in attractors:
-            K, F = a.point.field, a.alpha_field
-            first = len(out)
-            for emb in sorted(K.embeddings(), key=_numeric_key):
-                if a.kind == "affine":
-                    loc = (K.to_mpc(a.point.x, emb), K.to_mpc(a.point.y, emb))
-                elif a.point.u is None:
-                    loc = ("x-point",)
-                else:
-                    loc = (K.to_mpc(a.point.u, emb),)
-                if a.alpha_kind == "infinite":
-                    alphas = [INFINITE]
-                else:
-                    alphas = distinct_sorted(
-                        F.to_mpc(a.alpha_value, E) for E in F.embeddings()
-                        if E[:len(emb)] == emb)
-                out.extend(IndividualAttractor(a, loc, al, a.index)
-                           for al in alphas)
-            assert len(out) - first == a.n_points, (
-                "orbit of %d points expanded to %d individuals"
-                % (a.n_points, len(out) - first))
-    return out
+        for emb in K.embeddings():
+            if a.kind == "affine":
+                loc = (K.to_mpc(a.point.x, emb), K.to_mpc(a.point.y, emb))
+            elif a.point.u is None:
+                loc = ("x-point",)
+            else:
+                loc = (K.to_mpc(a.point.u, emb),)
+            if a.alpha_kind == "infinite":
+                alphas = [INFINITE]
+            else:
+                alphas = distinct_sorted(
+                    F.to_mpc(a.alpha_value, E) for E in F.embeddings()
+                    if E[:len(emb)] == emb)
+            out.extend(IndividualAttractor(a, loc, al, a.index)
+                       for al in alphas)
+        assert len(out) == a.n_points, (
+            "orbit of %d points expanded to %d individuals"
+            % (a.n_points, len(out)))
+        return sorted(out, key=_individual_key)
+
+
+def expand_individuals(attractors):
+    """Expand orbit records into individual attractors: the orbits in the
+    given order, the individuals of each in ``_individual_key`` order, so
+    no order depends on how the fields are presented."""
+    return [ind for a in attractors for ind in _orbit_individuals(a)]
 
 
 def build_report(f, ell, genericity, attractors, verdict=None):
-    attractors = sorted(attractors, key=_attractor_sort_key)
+    """Assemble the report, with the orbits ordered by their first
+    individual (``_individual_key``)."""
+    orbits = sorted((_orbit_individuals(a) for a in attractors),
+                    key=lambda inds: _individual_key(inds[0]))
+    attractors = [inds[0].parent for inds in orbits]
     return MorseReport(f, ell, f.total_degree(), genericity, attractors,
-                       expand_individuals(attractors),
+                       [ind for inds in orbits for ind in inds],
                        total_morse_number(attractors), verdict)
 
 

@@ -182,7 +182,7 @@ def _expand_core(F, field, target, depth, top_level):
     return branches
 
 
-def expand_branches(F, target_order=None):
+def expand_branches(F, target_order):
     """All branch classes of F = 0 through the origin.
 
     ``F`` must be bivariate and squarefree.  Each branch satisfies
@@ -193,8 +193,6 @@ def expand_branches(F, target_order=None):
     field = F.field
     if not field.is_zero(F.constant_term()):
         raise ValueError("the curve does not pass through the origin")
-    if target_order is None:
-        target_order = 2 * F.total_degree() + 2
     return [PuiseuxBranch(*b) for b in _expand_core(F, field, target_order, 0, True)]
 
 

@@ -1,6 +1,7 @@
 """Serialization of Morse reports: canonical JSON and readable text.
 
-Each individual attractor of the report is one entry.  The exact data of
+Each individual attractor of the report is one entry, in the report's
+order of individuals (``morse.build_report``).  The exact data of
 an orbit (the minimal polynomials over Q of its coordinates and limit
 value) is computed once and shared by its conjugates; their numeric
 values are the ones the individuals carry, from the field embeddings.
@@ -137,8 +138,7 @@ def report_to_doc(report, variables=("x", "y")):
 
 
 def to_json(report, variables=("x", "y")):
-    return json.dumps(report_to_doc(report, variables), sort_keys=True,
-                      indent=2, ensure_ascii=True)
+    return doc_to_json(report_to_doc(report, variables))
 
 
 def from_json(text):
@@ -147,6 +147,7 @@ def from_json(text):
 
 
 def doc_to_json(doc):
+    """The canonical JSON text of a document."""
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True)
 
 

@@ -4,9 +4,10 @@ import json
 import mpmath
 import pytest
 
-from polarmorse import morse, report
+from polarmorse import fields, morse, report
 from polarmorse.fields import ExtensionField, RationalField, rat
 from polarmorse.morse import analyze_symbolic, expand_individuals
+from polarmorse.puiseux import INFINITE
 from polarmorse.polar import LinearForm
 from polarmorse.poly import parse_poly
 from polarmorse.report import to_json
@@ -14,15 +15,17 @@ from polarmorse.report import to_json
 V = ("x", "y")
 QQ = RationalField()
 
-# (f, ell, seed): the three goldens; an input whose conjugate orbits have
-# roots that are not in the order of the orbit's embeddings; an orbit over
-# Q whose limit values +-sqrt(2) lie outside the point field; verify-d6
-# input 23, whose limit values lie outside the point field; and conjugate
-# points +-i with equal real parts.
+# (f, ell, seed): the pinned inputs of tests/data (the three goldens and
+# a tower); an input whose conjugate orbits have roots that are not in the
+# order of the orbit's embeddings; an orbit over Q whose limit values
+# +-sqrt(2) lie outside the point field; verify-d6 input 23, whose limit
+# values lie outside the point field; and conjugate points +-i with equal
+# real parts.
 INPUTS = {
     "cubic": ("x + x^2*y", LinearForm(rat(1), rat(1)), 0),
     "quintic": ("x*y + 1/3*x^3*y^2", LinearForm(rat(1), rat(1)), 0),
     "sextic": ("x*y + 1/3*x^3*y^2 + x^6", LinearForm(rat(1), rat(1)), 0),
+    "tower": ("(x^2-2)^2 + (y^2-x)^2", LinearForm(rat(1), rat(1)), 0),
     "seed6": ("1/2*x^3*y + 3/7*y^2 - x + 1/2", None, 6),
     "sqrt2_alpha": ("x*(y^2-2)^2 + y", None, 0),
     "d6_23": ("-2/3*x^3*y^2 + 2/3*x^2*y + 2*x^5 - 3*x - 2/3*x^3", None, 24),
@@ -125,3 +128,51 @@ def test_minpoly_once_per_orbit_coordinate(monkeypatch, sextic_eight, ell_xy):
             alphas += 1
     assert alphas and len(expected) > alphas
     assert calls == expected
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_json_independent_of_root_order(monkeypatch, name):
+    f, ell, seed = INPUTS[name]
+    text = to_json(analyze_symbolic(parse_poly(f, V), ell=ell, seed=seed))
+    real = fields._poly_roots
+    monkeypatch.setattr(fields, "_poly_roots",
+                        lambda coeffs: real(coeffs)[::-1])
+    rep = analyze_symbolic(parse_poly(f, V), ell=ell, seed=seed)
+    assert to_json(rep) == text
+
+
+def entry_cmp(a, b):
+    """Compare two individual attractors: affine points, then [u : 1 : 0],
+    then [1 : 0 : 0]; then coordinate by coordinate; then the limit
+    value, finite before infinite.  Numbers compare by re, then im."""
+    def rank(ind):
+        if ind.parent.kind == "affine":
+            return 0
+        return 2 if ind.parent.point.u is None else 1
+
+    def numbers(ind):
+        loc = () if rank(ind) == 2 else ind.location
+        return loc + ((ind.alpha,) if ind.alpha is not INFINITE else ())
+
+    if rank(a) != rank(b):
+        return -1 if rank(a) < rank(b) else 1
+    na, nb = numbers(a), numbers(b)
+    for z, w in zip(na, nb):
+        c = by_re_then_im(z, w)
+        if c:
+            return c
+    return (len(na) < len(nb)) - (len(na) > len(nb))
+
+
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_entries_in_numeric_order(name):
+    f, ell, seed = INPUTS[name]
+    rep = analyze_symbolic(parse_poly(f, V), ell=ell, seed=seed)
+    orbits = [[ind for ind in rep.individuals if ind.parent is a]
+              for a in rep.attractors]
+    assert [ind for inds in orbits for ind in inds] == rep.individuals
+    for inds in orbits:
+        for a, b in zip(inds, inds[1:]):
+            assert entry_cmp(a, b) < 0, (a, b)
+    for a, b in zip(orbits, orbits[1:]):
+        assert entry_cmp(a[0], b[0]) < 0, (a[0], b[0])

@@ -7,6 +7,10 @@ Each trajectory is classified as converging to an affine attractor or
 escaping to a direction at infinity (with its f-limit), and the cluster
 sizes are diffed against the symbolic indices.  Nothing here reuses
 series expansions: the oracle is an independent route to the same counts.
+Every numeric evaluation goes through ``poly.substitute``; a Newton step
+evaluates the gradient and the Hessian of f together, from one table of
+powers, with the coefficients converted once per track at the working
+precision.
 """
 
 from __future__ import annotations
@@ -48,11 +52,6 @@ def _poly_to_mp(p):
     """Univariate rational Poly -> high-to-low mpf coefficient list."""
     cs = p.coeffs_in(0)
     return [_to_mpf(c) for c in reversed(cs)]
-
-
-def _eval_numeric(p, x, y):
-    """Evaluate a bivariate rational Poly at complex arguments."""
-    return substitute(p, (x, y), _to_mpf)
 
 
 def critical_points(f, ell, t, precision=256):
@@ -109,7 +108,7 @@ def _back_substitute(f, g1, g2, which, roots, tol):
     coeffs = [g.coeffs_in(unsolved) for g in (g1, g2)]
     for r in roots:
         # substitute the solved coordinate, get univariate polys in the other
-        uni = [[substitute(cp, (r,), _to_mpf) for cp in cs] for cs in coeffs]
+        uni = [substitute(tuple(cs), (r,), _to_mpf) for cs in coeffs]
         # use the lowest-degree substituted polynomial that still depends
         # on the unsolved variable (a vanishing one carries no constraint)
         trimmed = []
@@ -130,7 +129,7 @@ def _back_substitute(f, g1, g2, which, roots, tol):
             return None
         for yr in yroots:
             x, y = (r, yr) if which == "y" else (yr, r)
-            res = max(abs(_eval_numeric(g1, x, y)), abs(_eval_numeric(g2, x, y)))
+            res = max(abs(v) for v in substitute((g1, g2), (x, y), _to_mpf))
             scale = max(1, abs(x), abs(y)) ** max(1, f.total_degree() - 1)
             if res > tol * scale * 1e6:
                 continue
@@ -142,9 +141,9 @@ def _dist(p, q):
     return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
 
 
-def _hessian_solve(hessian, p, u, v):
-    """H(p)^-1 (u, v) for the Hessian H of f; None when H(p) is singular."""
-    h11, h12, h22 = (_eval_numeric(h, p[0], p[1]) for h in hessian)
+def _hessian_solve(h11, h12, h22, u, v):
+    """H^-1 (u, v) for the Hessian H = [[h11, h12], [h12, h22]] of f at a
+    point; None when H is singular."""
     det = h11 * h22 - h12 * h12
     if det == 0:
         return None
@@ -155,14 +154,14 @@ def _newton(system, ell, p, t):
     """Newton on (f_x - t*a, f_y - t*b) from p at the working precision;
     None unless a correction falls to 2^(-prec/2) of each coordinate (or
     2^(-3prec/4) of the point, for a coordinate at round-off)."""
-    fx, fy, hessian = system
+    polys, lift, _, _ = system
     ta, tb = _to_mpf(t * ell.a), _to_mpf(t * ell.b)
     prec = mpmath.mp.prec
     eps = mpmath.ldexp(1, -(prec // 2))
     last = None
     for _ in range(NEWTON_STEPS):
-        d = _hessian_solve(hessian, p, _eval_numeric(fx, *p) - ta,
-                           _eval_numeric(fy, *p) - tb)
+        gx, gy, *hessian = substitute(polys, p, lift)
+        d = _hessian_solve(*hessian, gx - ta, gy - tb)
         if d is None:
             return None
         p = (p[0] - d[0], p[1] - d[1])
@@ -183,7 +182,8 @@ def _carry(system, ell, p, t, t_next, gap, depth=0):
     is accepted when Newton converges with a correction under a quarter
     of ``gap``, the distance from p to its nearest neighbour; otherwise
     it is halved, at most MAX_HALVINGS deep."""
-    v = _hessian_solve(system[2], p, _to_mpf(ell.a), _to_mpf(ell.b))
+    polys, lift, a, b = system
+    v = _hessian_solve(*substitute(polys[2:], p, lift), a, b)
     if v is not None:
         dt = _to_mpf(t_next - t)
         guess = (p[0] + dt * v[0], p[1] + dt * v[1])
@@ -215,9 +215,14 @@ def _track(f, ell, fine, precision):
     later values of ``fine``: one list of points per trajectory, in the
     solver's order, or None when some step fails or two paths merge."""
     fx, fy = f.diff(0), f.diff(1)
-    system = (fx, fy, (fx.diff(0), fx.diff(1), fy.diff(1)))
+    polys = (fx, fy, fx.diff(0), fx.diff(1), fy.diff(1))
     trajectories = [[p] for p in critical_points(f, ell, fine[0], precision).points]
     with mpmath.workprec(precision):
+        # f_x, f_y and the Hessian entries, with their coefficients and
+        # ell's (a, b) converted once, at the working precision
+        coeffs = {c: _to_mpf(c) for c in (QQ.zero(), QQ.one(), *(
+            c for p in polys for c in p.terms.values()))}
+        system = (polys, coeffs.__getitem__, _to_mpf(ell.a), _to_mpf(ell.b))
         for t, t_next in zip(fine, fine[1:]):
             gaps = _gaps([tr[-1] for tr in trajectories])
             if gaps is None:
@@ -303,7 +308,7 @@ def _classify_one(f, schedule, tr, individuals, r_affine, ang_tol):
         return None
 
     # escaping: direction on the line at infinity, as u = x / y (or y = 0)
-    vals = [_eval_numeric(f, p[0], p[1]) for p in tr]
+    vals = [substitute(f, p, _to_mpf) for p in tr]
     fvals = [abs(v) for v in vals]
     if abs(end[1]) < ang_tol * abs(end[0]):
         direction = None          # the point [1 : 0 : 0]

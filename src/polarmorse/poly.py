@@ -284,21 +284,28 @@ def substitute(p, args, lift, add=operator.add, mul=operator.mul):
 
     ``lift`` maps a coefficient of p into the ring of ``args``; ``add`` and
     ``mul`` are that ring's operations.  Each argument's powers are
-    computed once, by repeated multiplication.
+    computed once, by repeated multiplication.  A tuple of polynomials
+    over one field gives the tuple of their values, all read off one table
+    of powers; each value is the one its polynomial alone would give.
     """
-    one = lift(p.field.one())
+    polys = p if isinstance(p, tuple) else (p,)
+    field = polys[0].field
+    one = lift(field.one())
     pows = [[one] for _ in args]
-    out = lift(p.field.zero())
-    for e, c in p.terms.items():
-        t = lift(c)
-        for i, n in enumerate(e):
-            if n:
-                pw = pows[i]
-                while len(pw) <= n:
-                    pw.append(mul(pw[-1], args[i]))
-                t = mul(t, pw[n])
-        out = add(out, t)
-    return out
+    outs = []
+    for q in polys:
+        out = lift(field.zero())
+        for e, c in q.terms.items():
+            t = lift(c)
+            for i, n in enumerate(e):
+                if n:
+                    pw = pows[i]
+                    while len(pw) <= n:
+                        pw.append(mul(pw[-1], args[i]))
+                    t = mul(t, pw[n])
+            out = add(out, t)
+        outs.append(out)
+    return tuple(outs) if isinstance(p, tuple) else outs[0]
 
 
 def _coeff_str(field, c, need_sign):

@@ -196,12 +196,6 @@ def expand_branches(F, target_order):
     return [PuiseuxBranch(*b) for b in _expand_core(F, field, target_order, 0, True)]
 
 
-def branch_residual(F, branch):
-    """F composed with the branch parametrization (must vanish to trunc)."""
-    Fb = F.to_field(branch.field)
-    return poly_at_series(Fb, (branch.x_series, branch.y_series))
-
-
 def series_order_after_limit(series):
     """Limit value and order convention for f along an escaping arc.
 
@@ -215,8 +209,3 @@ def series_order_after_limit(series):
     alpha = series.coeff(0)
     rest = series - LaurentSeries.const(series.field, alpha, series.trunc)
     return alpha, rest.order()
-
-
-def count_vanishing_solutions(g_order, h_order):
-    """Number of nonzero roots of g - t*h converging to 0 as t -> 0."""
-    return g_order - h_order if g_order >= h_order else 0

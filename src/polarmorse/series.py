@@ -48,20 +48,6 @@ class LaurentSeries:
             return LaurentSeries(field, {}, trunc)
         return LaurentSeries(field, {exponent: c}, trunc)
 
-    @staticmethod
-    def make(field, items, trunc):
-        coeffs = {}
-        for e, c in items:
-            if e >= trunc or field.is_zero(c):
-                continue
-            if e in coeffs:
-                c = field.add(coeffs[e], c)
-                if field.is_zero(c):
-                    del coeffs[e]
-                    continue
-            coeffs[e] = c
-        return LaurentSeries(field, coeffs, trunc)
-
     # -- queries ---------------------------------------------------------
     def is_zero_shown(self):
         """True if no nonzero coefficient is stored (zero up to trunc)."""

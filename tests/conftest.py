@@ -1,10 +1,41 @@
+"""Fixtures and helpers shared by the tests; the helpers are imported as
+``from conftest import ...``."""
+
 import pytest
 
 from polarmorse.fields import rat
 from polarmorse.poly import parse_poly
 from polarmorse.polar import LinearForm
+from polarmorse.series import LaurentSeries, poly_at_series
 
 VARS = ("x", "y")
+
+
+def make_series(field, items, trunc):
+    """The series sum of c*s^e over ``items`` (repeated exponents add up),
+    known to O(s^trunc)."""
+    coeffs = {}
+    for e, c in items:
+        if e >= trunc or field.is_zero(c):
+            continue
+        if e in coeffs:
+            c = field.add(coeffs[e], c)
+            if field.is_zero(c):
+                del coeffs[e]
+                continue
+        coeffs[e] = c
+    return LaurentSeries(field, coeffs, trunc)
+
+
+def branch_residual(F, branch):
+    """F composed with the branch parametrization (must vanish to trunc)."""
+    Fb = F.to_field(branch.field)
+    return poly_at_series(Fb, (branch.x_series, branch.y_series))
+
+
+def count_vanishing_solutions(g_order, h_order):
+    """Number of nonzero roots of g - t*h converging to 0 as t -> 0."""
+    return g_order - h_order if g_order >= h_order else 0
 
 
 @pytest.fixture(scope="session")

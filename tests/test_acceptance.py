@@ -13,13 +13,13 @@ import time
 import mpmath
 import pytest
 
+from conftest import branch_residual, count_vanishing_solutions
 from polarmorse.fields import RationalField, rat
 from polarmorse.poly import Poly, minpoly_over, parse_poly, poly_str, resultant
 from polarmorse.polar import LinearForm, polar_equation
 from polarmorse.morse import (_chart_polys, analyze_symbolic, chart_center,
                               infinity_index)
 from polarmorse.oracle import critical_points
-from polarmorse.puiseux import branch_residual, count_vanishing_solutions
 from polarmorse.series import SeriesPrecisionLoss
 
 QQ = RationalField()

@@ -5,10 +5,11 @@ import pytest
 
 from polarmorse import cli, oracle
 from polarmorse.fields import rat
-from polarmorse.poly import parse_poly
+from polarmorse.poly import parse_poly, substitute
 from polarmorse.morse import analyze_symbolic
-from polarmorse.oracle import (DEFAULT_SCHEDULE, _dist, _refine_schedule,
-                               _track, classify_trajectories, critical_points)
+from polarmorse.oracle import (DEFAULT_SCHEDULE, _dist, _gaps, _refine_schedule,
+                               _to_mpf, _track, classify_trajectories,
+                               critical_points)
 
 V = ("x", "y")
 
@@ -46,11 +47,11 @@ def test_residuals_below_tolerance(quintic_node, ell_xy):
     cs = critical_points(quintic_node, ell_xy, rat(1, 1000), precision=256)
     fx = quintic_node.diff(0)
     fy = quintic_node.diff(1)
-    from polarmorse.oracle import _eval_numeric
     with mpmath.workprec(300):
         for x, y in cs.points:
-            r1 = abs(_eval_numeric(fx, x, y) - mpmath.mpf(1) / 1000)
-            r2 = abs(_eval_numeric(fy, x, y) - mpmath.mpf(1) / 1000)
+            gx, gy = substitute((fx, fy), (x, y), _to_mpf)
+            r1 = abs(gx - mpmath.mpf(1) / 1000)
+            r2 = abs(gy - mpmath.mpf(1) / 1000)
             scale = max(1, abs(x), abs(y)) ** quintic_node.total_degree()
             assert r1 < mpmath.mpf(10) ** -40 * scale
             assert r2 < mpmath.mpf(10) ** -40 * scale
@@ -200,3 +201,82 @@ def test_merged_paths_fail_tracking(quintic_node, ell_xy, monkeypatch):
     v = classify_trajectories(quintic_node, ell_xy, DEFAULT_SCHEDULE, report)
     assert len(ends) >= 2
     assert v.mismatches == ["trajectory tracking failed"]
+
+
+def _reference_track(f, ell, fine, precision):
+    """The tracker with five separate evaluations per Newton step, each
+    converting every coefficient anew."""
+    fx, fy = f.diff(0), f.diff(1)
+    hessian = (fx.diff(0), fx.diff(1), fy.diff(1))
+
+    def solve(p, u, v):
+        h11, h12, h22 = (substitute(h, p, _to_mpf) for h in hessian)
+        det = h11 * h22 - h12 * h12
+        if det == 0:
+            return None
+        return ((h22 * u - h12 * v) / det, (h11 * v - h12 * u) / det)
+
+    def newton(p, t):
+        ta, tb = _to_mpf(t * ell.a), _to_mpf(t * ell.b)
+        prec = mpmath.mp.prec
+        eps = mpmath.ldexp(1, -(prec // 2))
+        last = None
+        for _ in range(oracle.NEWTON_STEPS):
+            d = solve(p, substitute(fx, p, _to_mpf) - ta,
+                      substitute(fy, p, _to_mpf) - tb)
+            if d is None:
+                return None
+            p = (p[0] - d[0], p[1] - d[1])
+            floor = mpmath.ldexp(max(abs(p[0]), abs(p[1])), -(prec // 4))
+            if all(abs(di) <= eps * max(abs(c), floor) for di, c in zip(d, p)):
+                return p
+            size = max(abs(d[0]), abs(d[1]))
+            if last is not None and size > last:
+                return None
+            last = size
+        return None
+
+    def carry(p, t, t_next, gap, depth=0):
+        v = solve(p, _to_mpf(ell.a), _to_mpf(ell.b))
+        if v is not None:
+            dt = _to_mpf(t_next - t)
+            guess = (p[0] + dt * v[0], p[1] + dt * v[1])
+            q = newton(guess, t_next)
+            if q is not None and _dist(q, guess) < gap / 4:
+                return q
+        if depth == oracle.MAX_HALVINGS:
+            return None
+        mid = (t + t_next) / 2
+        m = carry(p, t, mid, gap, depth + 1)
+        return m and carry(m, mid, t_next, gap, depth + 1)
+
+    trajectories = [[p] for p in critical_points(f, ell, fine[0], precision).points]
+    with mpmath.workprec(precision):
+        for t, t_next in zip(fine, fine[1:]):
+            gaps = _gaps([tr[-1] for tr in trajectories])
+            assert gaps is not None
+            for tr, gap in zip(trajectories, gaps):
+                q = carry(tr[-1], t, t_next, gap)
+                assert q is not None
+                tr.append(q)
+    return trajectories
+
+
+@pytest.mark.parametrize("text", ["x + x^2*y", "x*y + 1/3*x^3*y^2",
+                                  "x*y + 1/3*x^3*y^2 + x^6",
+                                  "(x^2-2)^2 + (y^2-x)^2"])
+def test_tracked_paths_unchanged(text, ell_xy):
+    """One table of powers per step and coefficients converted once per
+    track give exactly the points of separate evaluations, bit for bit."""
+    f = parse_poly(text, V)
+    fine = _refine_schedule(DEFAULT_SCHEDULE)
+    assert _track(f, ell_xy, fine, 256) == _reference_track(f, ell_xy, fine, 256)
+
+
+def test_coefficients_converted_once(sextic_eight, ell_xy, monkeypatch):
+    rep = analyze_symbolic(sextic_eight, ell=ell_xy)
+    calls = []
+    monkeypatch.setattr(oracle, "_to_mpf", lambda q: calls.append(q) or _to_mpf(q))
+    v = classify_trajectories(sextic_eight, ell_xy, DEFAULT_SCHEDULE, rep)
+    assert v.matched, v.mismatches
+    assert 0 < len(calls) < 3000

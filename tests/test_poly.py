@@ -6,8 +6,8 @@ from polarmorse.fields import ExtensionField, RationalField, rat
 from polarmorse.poly import (Poly, PolyParseError, divides, exact_div,
                              factor_qq, factor_univariate, gcd_qq, gcd_univar,
                              minpoly_over, parse_poly, poly_str, resultant,
-                             squarefree_part)
-from polarmorse.oracle import _eval_numeric, _to_mpf
+                             squarefree_part, substitute)
+from polarmorse.oracle import _to_mpf
 from polarmorse.series import LaurentSeries, poly_at_series
 
 QQ = RationalField()
@@ -184,12 +184,29 @@ def test_gcd_univar_over_extension():
                                                      st.integers(1, 9))] * 2))
 @settings(max_examples=80, deadline=None)
 def test_evaluators_agree(p, v):
-    """eval, compose, poly_at_series and _eval_numeric are one evaluator."""
+    """eval, compose, poly_at_series and numeric substitute are one evaluator."""
     value = p.eval(v)
     composed = p.compose([Poly.const(QQ, 2, c) for c in v])
     assert composed.is_constant() and composed.constant_term() == value
     series = poly_at_series(p, [LaurentSeries.const(QQ, c, 5) for c in v])
     assert series.coeff(0) == value
     with mpmath.workprec(256):
-        numeric = _eval_numeric(p, _to_mpf(v[0]), _to_mpf(v[1]))
+        numeric = substitute(p, (_to_mpf(v[0]), _to_mpf(v[1])), _to_mpf)
         assert abs(numeric - _to_mpf(value)) < mpmath.mpf(10) ** -60
+
+
+def complex_points():
+    part = st.builds(rat, st.integers(-99, 99), st.integers(1, 99))
+    return st.tuples(*[st.tuples(part, part)] * 2)
+
+
+@given(small_polys(max_deg=4), small_polys(max_deg=4), small_polys(max_deg=4),
+       complex_points())
+@settings(max_examples=60, deadline=None)
+def test_shared_power_table_is_exact(p, q, r, pt):
+    """A tuple of polynomials evaluates to exactly the values of the
+    one-polynomial calls: sharing the table of powers changes no bit."""
+    with mpmath.workprec(256):
+        args = tuple(mpmath.mpc(_to_mpf(re), _to_mpf(im)) for re, im in pt)
+        together = substitute((p, q, r), args, _to_mpf)
+        assert together == tuple(substitute(s, args, _to_mpf) for s in (p, q, r))

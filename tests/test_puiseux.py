@@ -3,12 +3,11 @@ import random
 import mpmath
 import pytest
 
+from conftest import branch_residual, count_vanishing_solutions
 from polarmorse.fields import RationalField, rat
 from polarmorse.poly import Poly, factor_qq, parse_poly, resultant, squarefree_part
 from polarmorse.polar import _root_class
-from polarmorse.puiseux import (branch_residual, count_vanishing_solutions,
-                                expand_branches,
-                                series_order_after_limit, INFINITE)
+from polarmorse.puiseux import expand_branches, series_order_after_limit, INFINITE
 from polarmorse.series import poly_at_series
 
 QQ = RationalField()

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import make_series
 from polarmorse.fields import ExtensionField, RationalField, rat
 from polarmorse.poly import parse_poly
 from polarmorse.series import LaurentSeries, SeriesPrecisionLoss, poly_at_series
@@ -9,7 +10,7 @@ QQ = RationalField()
 
 
 def series_from(items, trunc=10):
-    return LaurentSeries.make(QQ, [(e, rat(c)) for e, c in items], trunc)
+    return make_series(QQ, [(e, rat(c)) for e, c in items], trunc)
 
 
 def laurent_strategy():
@@ -100,7 +101,7 @@ def invertible_series(field):
     coeff = st.tuples(st.integers(-5, 5), st.integers(-3, 3)).map(elem)
     lead = coeff.filter(lambda c: not field.is_zero(c))
     return st.builds(
-        lambda o, c0, rest, trunc: LaurentSeries.make(
+        lambda o, c0, rest, trunc: make_series(
             field, [(o, c0)] + [(o + 1 + k, c) for k, c in enumerate(rest)], trunc),
         st.integers(-3, 3), lead, st.lists(coeff, max_size=6),
         st.integers(4, 12))
@@ -135,7 +136,7 @@ def test_monotone_refinement():
     base = None
     for trunc in (6, 12, 24):
         s = LaurentSeries.monomial(QQ, QQ.one(), 1, trunc)
-        y = LaurentSeries.make(
+        y = make_series(
             QQ, [(1, rat(1, 2)), (-1, rat(-1, 2))], trunc)
         val = poly_at_series(f, (s, y))
         if base is None:

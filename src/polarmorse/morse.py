@@ -19,14 +19,17 @@ which is computed independently on every branch and asserted.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import mpmath
 
 from .fields import RationalField, coerce, conj_key, distinct_sorted, rat
 from .poly import Poly, minpoly_over
-from .polar import (GenericityError, LinearForm, check_genericity,
-                    draw_generic_ell, polar_equation, singular_locus)
+from .polar import (GenericityError, LinearForm, _common_zeros,
+                    check_genericity, draw_generic_ell, polar_equation,
+                    singular_locus)
 from .puiseux import (DegenerateComposition, INFINITE, expand_branches,
                       poly_at_series, series_order_after_limit)
 from .series import LaurentSeries, SeriesPrecisionLoss
@@ -75,7 +78,7 @@ class MorseReport:
     degree: int
     genericity: object
     attractors: list
-    individuals: list          # expand_individuals(attractors)
+    individuals: list          # IndividualAttractor, in report order
     morse_number: int
     verification: object = None
 
@@ -85,50 +88,30 @@ def safety_bound(f, polar):
     return d * (2 * d - 1) + d + 1
 
 
-def _component_candidates(polar, sing):
-    """Candidate attractors on one-dimensional components of Sing f.
+def affine_candidates(polar, sing):
+    """Points of Sing f that can absorb Morse points: the isolated singular
+    points on the polar curve, and the points where the polar curve meets
+    the one-dimensional components of Sing f.
 
     Every Morse-point trajectory stays on the polar curve, so its affine
-    limit on a component W lies in the finite set polar ∩ W.  This is a
-    superset of the critical points of ell restricted to W; spurious
-    members simply receive index 0."""
-    from .polar import _common_zeros
-    out = []
-    for w in sing.one_dim_components:
-        out.extend(_common_zeros(polar.equation, w))
-    return out
-
-
-def _point_key(p):
-    """Numeric dedup key for an affine point class (canonical embedding)."""
-    with mpmath.workdps(40):
-        return (conj_key(p.field.to_mpc(p.x)), conj_key(p.field.to_mpc(p.y)))
-
-
-def _on_polar(polar, points):
-    for p in points:
-        eq = polar.equation.to_field(p.field)
-        if p.field.is_zero(eq.eval((p.x, p.y))):
-            yield p
-
-
-def affine_candidates(polar, sing):
-    """Points of Sing f that can absorb Morse points: isolated singular
-    points lying on the polar curve, plus critical points of ell
-    restricted to one-dimensional components of Sing f (including
-    pairwise component intersections), also intersected with the polar
-    curve."""
+    limit on a component lies in polar ∩ Sing f; spurious members of this
+    finite set simply receive index 0.  One elimination against the
+    product of the components finds each point once, also where two
+    components meet: the polar equation drops every factor dividing both
+    partials, so it is coprime to that product, and ``singular_locus``
+    already leaves the points on a component out of the isolated ones."""
     if polar.is_empty():
         return []
-    cands = list(sing.isolated_points)
-    extra = _component_candidates(polar, sing)
-    seen = {_point_key(p) for p in cands}
-    for p in extra:
-        k = _point_key(p)
-        if k not in seen:
-            seen.add(k)
-            cands.append(p)
-    return list(_on_polar(polar, cands))
+    out = []
+    for p in sing.isolated_points:
+        eq = polar.equation.to_field(p.field)
+        if p.field.is_zero(eq.eval((p.x, p.y))):
+            out.append(p)
+    if sing.one_dim_components:
+        out.extend(_common_zeros(polar.equation,
+                                 functools.reduce(operator.mul,
+                                                  sing.one_dim_components)))
+    return out
 
 
 def _expand_retry(germ, compute, bound):
@@ -366,13 +349,6 @@ def _orbit_individuals(a):
             "orbit of %d points expanded to %d individuals"
             % (a.n_points, len(out)))
         return sorted(out, key=_individual_key)
-
-
-def expand_individuals(attractors):
-    """Expand orbit records into individual attractors: the orbits in the
-    given order, the individuals of each in ``_individual_key`` order, so
-    no order depends on how the fields are presented."""
-    return [ind for a in attractors for ind in _orbit_individuals(a)]
 
 
 def build_report(f, ell, genericity, attractors, verdict=None):

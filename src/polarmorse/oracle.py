@@ -15,6 +15,7 @@ precision.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import mpmath
@@ -199,14 +200,15 @@ def _carry(system, ell, p, t, t_next, gap, depth=0):
 
 def _gaps(points):
     """Each point's distance to its nearest neighbour, or None when two
-    points agree to a quarter of the working precision: two paths merged."""
-    gaps = []
-    for i, p in enumerate(points):
-        gap = min((_dist(p, q) for j, q in enumerate(points) if j != i),
-                  default=mpmath.inf)
+    points agree to a quarter of the working precision: two paths merged.
+    Each pair's distance is computed once and given to both ends."""
+    gaps = [mpmath.inf] * len(points)
+    for i, j in itertools.combinations(range(len(points)), 2):
+        d = _dist(points[i], points[j])
+        gaps[i], gaps[j] = min(gaps[i], d), min(gaps[j], d)
+    for p, gap in zip(points, gaps):
         if gap <= mpmath.ldexp(max(abs(p[0]), abs(p[1])), -(mpmath.mp.prec // 4)):
             return None
-        gaps.append(gap)
     return gaps
 
 

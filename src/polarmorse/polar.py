@@ -203,10 +203,10 @@ def _common_zeros(g1, g2, exclude=None):
     d1, d2 = g1.degree_in(1), g2.degree_in(1)
     if d1 > 0 and d2 > 0:
         elim = resultant(g1, g2, 1)
-    elif d1 == 0:
-        elim = Poly(QQ, 1, {(e[0],): c for e, c in g1.terms.items()})
     else:
-        elim = Poly(QQ, 1, {(e[0],): c for e, c in g2.terms.items()})
+        # one of them is a univariate in x
+        g = g1 if d1 == 0 else g2
+        elim = Poly(QQ, 1, {(e[0],): c for e, c in g.terms.items()})
     if elim.is_zero():
         raise ValueError("the two polynomials share a curve component")
     if elim.is_constant():

@@ -3,7 +3,9 @@
 The main pipeline works with polynomials in at most 3 variables whose
 coefficients live in a field from :mod:`polarmorse.fields`.  Heavy
 classical algorithms over Q (factorization, squarefree part, gcd,
-resultants) are delegated to sympy; everything that must run over an
+resultants) are delegated to sympy ``Poly`` methods over ``QQ``; the one
+bridge, ``to_sympy`` / ``from_sympy``, passes exponent dicts both ways and
+builds no sympy expressions.  Everything that must run over an
 extension tower (univariate gcd, bivariate resultant by
 evaluation/interpolation, Trager norm factorization) is implemented here
 directly.  Relative minimal polynomials come from linear algebra on the
@@ -456,29 +458,28 @@ def parse_poly(text, variables=None):
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge (Q coefficients only)
+# sympy bridge (Q coefficients only): exponent dicts in and out, so a
+# gcd, factorization or resultant over Q is one sympy ``Poly`` method call
 
 _SYM_VARS = sympy.symbols("v0 v1 v2")
 
 
 def to_sympy(p):
+    """p as a sympy ``Poly`` over ``QQ`` in ``v0, v1, ...``, built from its
+    exponent dict."""
     if not isinstance(p.field, RationalField):
         raise ValueError("sympy bridge is for Q coefficients")
-    gens = _SYM_VARS[: p.arity]
-    expr = sympy.Integer(0)
-    for e, c in p.terms.items():
-        term = sympy.Rational(int(c.numerator), int(c.denominator))
-        for g, k in zip(gens, e):
-            term *= g ** k
-        expr += term
-    return sympy.Poly(expr, *gens, domain="QQ")
+    return sympy.Poly.from_dict(
+        {e: sympy.QQ(c.numerator, c.denominator) for e, c in p.terms.items()},
+        _SYM_VARS[: p.arity], domain=sympy.QQ)
 
-def from_sympy(sp, arity):
-    terms = {}
-    for e, c in sp.terms():
-        c = sympy.Rational(c)
-        terms[tuple(e)] = rat(int(c.p), int(c.q))
-    return Poly(QQ, arity, {e: c for e, c in terms.items() if c != 0})
+
+def from_sympy(sp):
+    """Inverse of ``to_sympy``: a sympy ``Poly`` over ``QQ``, in as many
+    variables as it has generators."""
+    return Poly(QQ, len(sp.gens), {
+        e: rat(int(c.numerator), int(c.denominator))
+        for e, c in sp.as_dict(native=True).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +492,7 @@ def gcd_qq(p, q):
         return q
     if q.is_zero():
         return p
-    g = sympy.gcd(to_sympy(p), to_sympy(q))
-    return from_sympy(sympy.Poly(g, *_SYM_VARS[: p.arity]), p.arity)
+    return from_sympy(to_sympy(p).gcd(to_sympy(q)))
 
 
 def gcd_univar(p, q):
@@ -574,12 +574,9 @@ def factor_qq(p):
         raise ValueError("cannot factor the zero polynomial")
     if not isinstance(p.field, RationalField):
         raise ValueError("factor_qq needs rational coefficients")
-    content, facs = sympy.factor_list(to_sympy(p))
-    content = sympy.Rational(content)
-    out = []
-    for fac, m in facs:
-        out.append((from_sympy(sympy.Poly(fac, *_SYM_VARS[: p.arity]), p.arity), m))
-    return rat(int(content.p), int(content.q)), out
+    content, facs = to_sympy(p).factor_list()
+    return (rat(int(content.p), int(content.q)),
+            [(from_sympy(fac), m) for fac, m in facs])
 
 
 def factor_univariate(p):
@@ -740,11 +737,13 @@ def resultant(p, q, var):
         const, d = (p, dq) if dp < 1 else (q, dp)
         return const.coeffs_in(var)[0] ** d
     if isinstance(f, RationalField):
-        sp, sq = to_sympy(p), to_sympy(q)
-        g = _SYM_VARS[var]
-        keep = _SYM_VARS[1 - var]
-        res = sympy.resultant(sp.as_expr(), sq.as_expr(), g)
-        return from_sympy(sympy.Poly(res, keep), 1)
+        # sympy's PRS resultant computes Res(q, p) when dp < dq, so it gets
+        # the operand of higher degree first; Res(p, q) = (-1)^(dp*dq) Res(q, p)
+        order = (_SYM_VARS[var], _SYM_VARS[1 - var])
+        sp, sq = (to_sympy(g).reorder(*order) for g in (p, q))
+        if dp >= dq:
+            return from_sympy(sp.resultant(sq))
+        return from_sympy(sq.resultant(sp)).scale(rat((-1) ** (dp * dq)))
     rows = _sylvester_entries(p.coeffs_in(var), q.coeffs_in(var))
     # evaluation / interpolation in the remaining variable
     bound = dp * q.degree_in(1 - var) + dq * p.degree_in(1 - var)

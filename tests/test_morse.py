@@ -7,8 +7,8 @@ from polarmorse.fields import RationalField, rat
 from polarmorse.poly import parse_poly
 from polarmorse.polar import GenericityError, LinearForm, polar_equation, singular_locus
 from polarmorse.morse import (affine_candidates, affine_index, analyze_symbolic,
-                              build_report, chart_center, expand_individuals,
-                              infinity_index, total_morse_number)
+                              build_report, chart_center, infinity_index,
+                              total_morse_number)
 from polarmorse.puiseux import INFINITE, DegenerateComposition
 
 QQ = RationalField()
@@ -66,6 +66,18 @@ def test_affine_candidates_restricted_to_polar(quintic_node, ell_xy):
     cands = affine_candidates(polar, sing)
     assert len(cands) == 1
     assert cands[0].x == rat(0) and cands[0].y == rat(0)
+
+
+def test_affine_candidates_where_components_meet():
+    # Sing f has the components x = 0 and y = 0, which meet at (0, 0) on
+    # the polar curve; (-2/5, -2/5) is an isolated singular point
+    f = parse_poly("x^2*y^2*(x + y + 1)", V)
+    ell = LinearForm(rat(1), rat(2))
+    cands = affine_candidates(polar_equation(f, ell), singular_locus(f))
+    coords = [(c.x, c.y) for c in cands]
+    assert all(c.field is QQ for c in cands)
+    assert sorted(coords) == [(rat(-1), rat(0)), (rat(-2, 5), rat(-2, 5)),
+                              (rat(0), rat(-1)), (rat(0), rat(0))]
 
 
 def test_affine_contributions_nonnegative(sextic_eight, ell_xy):
@@ -136,7 +148,7 @@ def test_explicit_nongeneric_ell_raises():
 
 def test_conjugate_expansion_counts(sextic_eight, ell_xy):
     rep = analyze_symbolic(sextic_eight, ell=ell_xy)
-    inds = expand_individuals(rep.attractors)
+    inds = rep.individuals
     assert len(inds) == sum(a.n_points for a in rep.attractors)
     assert sum(i.index for i in inds) == rep.morse_number
 
@@ -146,9 +158,8 @@ def test_expand_individuals_with_alpha_zero():
     # minimal polynomial over the point field is T
     f = parse_poly("-2/3*x^3*y^2 + 2/3*x^2*y + 2*x^5 - 3*x - 2/3*x^3", V)
     rep = analyze_symbolic(f, seed=24)
-    inds = expand_individuals(rep.attractors)
+    inds = rep.individuals
     assert len(inds) == sum(a.n_points for a in rep.attractors)
-    assert len(rep.individuals) == len(inds)
     assert any(i.alpha == 0 for i in inds)
 
 

@@ -7,7 +7,7 @@ from polarmorse import cli, oracle
 from polarmorse.fields import rat
 from polarmorse.poly import parse_poly, substitute
 from polarmorse.morse import analyze_symbolic
-from polarmorse.oracle import (DEFAULT_SCHEDULE, _dist, _gaps, _refine_schedule,
+from polarmorse.oracle import (DEFAULT_SCHEDULE, _dist, _refine_schedule,
                                _to_mpf, _track, classify_trajectories,
                                critical_points)
 
@@ -203,9 +203,21 @@ def test_merged_paths_fail_tracking(quintic_node, ell_xy, monkeypatch):
     assert v.mismatches == ["trajectory tracking failed"]
 
 
+def _reference_gaps(points):
+    """Nearest-neighbour distances, each pair measured from both ends."""
+    gaps = []
+    for i, p in enumerate(points):
+        gap = min((_dist(p, q) for j, q in enumerate(points) if j != i),
+                  default=mpmath.inf)
+        assert gap > mpmath.ldexp(max(abs(p[0]), abs(p[1])), -(mpmath.mp.prec // 4))
+        gaps.append(gap)
+    return gaps
+
+
 def _reference_track(f, ell, fine, precision):
     """The tracker with five separate evaluations per Newton step, each
-    converting every coefficient anew."""
+    converting every coefficient anew, and every pairwise distance
+    measured from both of its ends."""
     fx, fy = f.diff(0), f.diff(1)
     hessian = (fx.diff(0), fx.diff(1), fy.diff(1))
 
@@ -253,8 +265,7 @@ def _reference_track(f, ell, fine, precision):
     trajectories = [[p] for p in critical_points(f, ell, fine[0], precision).points]
     with mpmath.workprec(precision):
         for t, t_next in zip(fine, fine[1:]):
-            gaps = _gaps([tr[-1] for tr in trajectories])
-            assert gaps is not None
+            gaps = _reference_gaps([tr[-1] for tr in trajectories])
             for tr, gap in zip(trajectories, gaps):
                 q = carry(tr[-1], t, t_next, gap)
                 assert q is not None

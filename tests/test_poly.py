@@ -1,12 +1,12 @@
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polarmorse.fields import ExtensionField, RationalField, rat
 from polarmorse.poly import (Poly, PolyParseError, divides, exact_div,
-                             factor_qq, factor_univariate, gcd_qq, gcd_univar,
-                             minpoly_over, parse_poly, poly_str, resultant,
-                             squarefree_part, substitute)
+                             factor_qq, factor_univariate, from_sympy, gcd_qq,
+                             gcd_univar, minpoly_over, parse_poly, poly_str,
+                             resultant, squarefree_part, substitute, to_sympy)
 from polarmorse.oracle import _to_mpf
 from polarmorse.series import LaurentSeries, poly_at_series
 
@@ -82,6 +82,32 @@ def test_resultant_vanishes_iff_common_factor():
     p = parse_poly("x*y - 1", V)
     q = parse_poly("x^2*y - x", V)     # = x*(x*y - 1)
     assert resultant(p, q, 1).is_zero()
+
+
+SQRT2 = ExtensionField(QQ, "s", [rat(-2), rat(0), rat(1)])
+
+
+@given(small_polys(), small_polys(), st.sampled_from([0, 1]))
+@settings(max_examples=40, deadline=None)
+def test_rational_resultant_matches_interpolation(p, q, var):
+    # sympy's resultant over Q against evaluation/interpolation over Q(sqrt 2)
+    assume(p.degree_in(var) > 0 and q.degree_in(var) > 0)
+    lifted = resultant(p.to_field(SQRT2), q.to_field(SQRT2), var)
+    assert resultant(p, q, var).to_field(SQRT2) == lifted
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_sympy_bridge_round_trip(arity, data):
+    coeff = st.builds(rat, st.integers(-9, 9), st.integers(1, 7))
+    exps = st.tuples(*(st.integers(0, 4) for _ in range(arity)))
+    terms = data.draw(st.dictionaries(exps, coeff, max_size=6))
+    p = Poly(QQ, arity, {e: c for e, c in terms.items() if c != 0})
+    assert from_sympy(to_sympy(p)) == p
+    for c in (rat(0), rat(-3, 4)):
+        const = Poly.const(QQ, arity, c)
+        assert from_sympy(to_sympy(const)) == const
 
 
 def test_resultant_rejects_non_bivariate():

@@ -6,7 +6,7 @@ import pytest
 
 from polarmorse import fields, morse, report
 from polarmorse.fields import ExtensionField, RationalField, rat
-from polarmorse.morse import analyze_symbolic, expand_individuals
+from polarmorse.morse import analyze_symbolic, build_report
 from polarmorse.puiseux import INFINITE
 from polarmorse.polar import LinearForm
 from polarmorse.poly import parse_poly
@@ -91,7 +91,8 @@ def test_no_root_finding_after_analysis(monkeypatch, name):
     monkeypatch.setattr(mpmath, "polyroots", counted(mpmath.polyroots))
     to_json(rep)
     monkeypatch.setattr(morse, "minpoly_over", counted(morse.minpoly_over))
-    assert expand_individuals(rep.attractors) == rep.individuals
+    rebuilt = build_report(rep.f, rep.ell, rep.genericity, rep.attractors)
+    assert rebuilt.individuals == rep.individuals
     assert calls == []
 
 

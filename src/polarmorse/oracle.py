@@ -7,15 +7,18 @@ Each trajectory is classified as converging to an affine attractor or
 escaping to a direction at infinity (with its f-limit), and the cluster
 sizes are diffed against the symbolic indices.  Nothing here reuses
 series expansions: the oracle is an independent route to the same counts.
-Every numeric evaluation goes through ``poly.substitute``; a Newton step
-evaluates the gradient and the Hessian of f together, from one table of
-powers, with the coefficients converted once per track at the working
-precision.
+A step is an Euler predictor, Newton in hardware floats, then Newton at
+the working precision from the refined point, or from the predictor's
+guess when that fails.  Every numeric evaluation goes through
+``poly.substitute``: a Newton step evaluates the gradient and the Hessian
+of f together, from one table of powers, with the coefficients converted
+once per track in each ring.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 
 import mpmath
@@ -151,14 +154,23 @@ def _hessian_solve(h11, h12, h22, u, v):
     return ((h22 * u - h12 * v) / det, (h11 * v - h12 * u) / det)
 
 
-def _newton(system, ell, p, t):
-    """Newton on (f_x - t*a, f_y - t*b) from p at the working precision;
-    None unless a correction falls to 2^(-prec/2) of each coordinate (or
-    2^(-3prec/4) of the point, for a coordinate at round-off)."""
-    polys, lift, _, _ = system
-    ta, tb = _to_mpf(t * ell.a), _to_mpf(t * ell.b)
-    prec = mpmath.mp.prec
-    eps = mpmath.ldexp(1, -(prec // 2))
+def _ring(values, convert, prec):
+    """A number ring for Newton: the rationals ``values`` taken into it by
+    ``convert`` once, read back by (numerator, denominator), since hashing a
+    Fraction costs a modular inverse; and the tolerances 2^(-prec/2) and
+    2^(-prec/4) of a ring with ``prec`` bits."""
+    table = {(c.numerator, c.denominator): convert(c) for c in values}
+    return (convert, lambda c: table[c.numerator, c.denominator],
+            convert(rat(1, 2 ** (prec // 2))), convert(rat(1, 2 ** (prec // 4))))
+
+
+def _newton(polys, ring, p, target):
+    """Newton on (f_x - t*a, f_y - t*b) from p in ``ring``, with ``target``
+    the rationals (t*a, t*b); None unless a correction falls to 2^(-prec/2)
+    of each coordinate (or 2^(-3prec/4) of the point, for a coordinate at
+    round-off)."""
+    convert, lift, eps, quarter = ring
+    ta, tb = convert(target[0]), convert(target[1])
     last = None
     for _ in range(NEWTON_STEPS):
         gx, gy, *hessian = substitute(polys, p, lift)
@@ -166,7 +178,7 @@ def _newton(system, ell, p, t):
         if d is None:
             return None
         p = (p[0] - d[0], p[1] - d[1])
-        floor = mpmath.ldexp(max(abs(p[0]), abs(p[1])), -(prec // 4))
+        floor = max(abs(p[0]), abs(p[1])) * quarter
         if all(abs(di) <= eps * max(abs(c), floor) for di, c in zip(d, p)):
             return p
         size = max(abs(d[0]), abs(d[1]))
@@ -176,21 +188,43 @@ def _newton(system, ell, p, t):
     return None
 
 
+def _refine(system, p, t_next, target):
+    """p refined by Newton in floats (``complex`` for an mpc coordinate, so
+    real paths stay real); None when that fails or leaves the float range."""
+    polys, _, double = system
+    if double is None or t_next < sys.float_info.min:
+        return None
+    start = tuple(complex(c) if isinstance(c, mpmath.mpc) else float(c)
+                  for c in p)
+    try:
+        q = _newton(polys, double, start, target)
+    except OverflowError:     # t*(a, b) or abs() beyond the float range
+        return None
+    return q and (mpmath.mpmathify(q[0]), mpmath.mpmathify(q[1]))
+
+
 def _carry(system, ell, p, t, t_next, gap, depth=0):
     """The point at t_next on the path through p at t, or None.
 
-    Euler predictor p + (t_next - t) H^-1 (a, b), then Newton.  The step
-    is accepted when Newton converges with a correction under a quarter
-    of ``gap``, the distance from p to its nearest neighbour; otherwise
-    it is halved, at most MAX_HALVINGS deep."""
-    polys, lift, a, b = system
-    v = _hessian_solve(*substitute(polys[2:], p, lift), a, b)
+    Euler predictor p + (t_next - t) H^-1 (a, b), then ``_refine``, then
+    Newton at the working precision from the refined point, or from the
+    predictor's guess when that fails.  The step is accepted when that
+    Newton converges within a quarter of ``gap``, the distance from p to
+    its nearest neighbour, of the guess; otherwise it is halved, at most
+    MAX_HALVINGS deep."""
+    polys, mp, _ = system
+    convert, lift, _, _ = mp
+    v = _hessian_solve(*substitute(polys[2:], p, lift), lift(ell.a),
+                       lift(ell.b))
     if v is not None:
-        dt = _to_mpf(t_next - t)
+        dt = convert(t_next - t)
         guess = (p[0] + dt * v[0], p[1] + dt * v[1])
-        q = _newton(system, ell, guess, t_next)
-        if q is not None and _dist(q, guess) < gap / 4:
-            return q
+        target = (t_next * ell.a, t_next * ell.b)
+        refined = _refine(system, guess, t_next, target)
+        for start in (refined, guess) if refined else (guess,):
+            q = _newton(polys, mp, start, target)
+            if q is not None and _dist(q, guess) < gap / 4:
+                return q
     if depth == MAX_HALVINGS:
         return None
     mid = (t + t_next) / 2
@@ -219,12 +253,16 @@ def _track(f, ell, fine, precision):
     fx, fy = f.diff(0), f.diff(1)
     polys = (fx, fy, fx.diff(0), fx.diff(1), fy.diff(1))
     trajectories = [[p] for p in critical_points(f, ell, fine[0], precision).points]
+    # f_x, f_y and the Hessian entries, with their coefficients and ell's
+    # (a, b) converted once per ring: the working precision, and floats
+    values = (QQ.zero(), QQ.one(), ell.a, ell.b,
+              *(c for p in polys for c in p.terms.values()))
+    try:
+        double = _ring(values, float, 53)
+    except OverflowError:     # a coefficient beyond the float range
+        double = None
     with mpmath.workprec(precision):
-        # f_x, f_y and the Hessian entries, with their coefficients and
-        # ell's (a, b) converted once, at the working precision
-        coeffs = {c: _to_mpf(c) for c in (QQ.zero(), QQ.one(), *(
-            c for p in polys for c in p.terms.values()))}
-        system = (polys, coeffs.__getitem__, _to_mpf(ell.a), _to_mpf(ell.b))
+        system = (polys, _ring(values, _to_mpf, precision), double)
         for t, t_next in zip(fine, fine[1:]):
             gaps = _gaps([tr[-1] for tr in trajectories])
             if gaps is None:

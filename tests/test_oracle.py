@@ -1,4 +1,6 @@
+import math
 import signal
+import sys
 
 import mpmath
 import pytest
@@ -214,32 +216,32 @@ def _reference_gaps(points):
     return gaps
 
 
-def _reference_track(f, ell, fine, precision):
+def _reference_track(f, ell, fine, precision, double=True):
     """The tracker with five separate evaluations per Newton step, each
-    converting every coefficient anew, and every pairwise distance
-    measured from both of its ends."""
+    converting every coefficient anew, every pairwise distance measured
+    from both of its ends and, with ``double``, each corrector started
+    from a Newton refinement in hardware floats when that converges."""
     fx, fy = f.diff(0), f.diff(1)
     hessian = (fx.diff(0), fx.diff(1), fy.diff(1))
 
-    def solve(p, u, v):
-        h11, h12, h22 = (substitute(h, p, _to_mpf) for h in hessian)
+    def solve(p, u, v, lift):
+        h11, h12, h22 = (substitute(h, p, lift) for h in hessian)
         det = h11 * h22 - h12 * h12
         if det == 0:
             return None
         return ((h22 * u - h12 * v) / det, (h11 * v - h12 * u) / det)
 
-    def newton(p, t):
-        ta, tb = _to_mpf(t * ell.a), _to_mpf(t * ell.b)
-        prec = mpmath.mp.prec
-        eps = mpmath.ldexp(1, -(prec // 2))
+    def newton(p, t, lift, ldexp, prec):
+        ta, tb = lift(t * ell.a), lift(t * ell.b)
+        eps = ldexp(1, -(prec // 2))
         last = None
         for _ in range(oracle.NEWTON_STEPS):
-            d = solve(p, substitute(fx, p, _to_mpf) - ta,
-                      substitute(fy, p, _to_mpf) - tb)
+            d = solve(p, substitute(fx, p, lift) - ta,
+                      substitute(fy, p, lift) - tb, lift)
             if d is None:
                 return None
             p = (p[0] - d[0], p[1] - d[1])
-            floor = mpmath.ldexp(max(abs(p[0]), abs(p[1])), -(prec // 4))
+            floor = ldexp(max(abs(p[0]), abs(p[1])), -(prec // 4))
             if all(abs(di) <= eps * max(abs(c), floor) for di, c in zip(d, p)):
                 return p
             size = max(abs(d[0]), abs(d[1]))
@@ -248,14 +250,27 @@ def _reference_track(f, ell, fine, precision):
             last = size
         return None
 
+    def refine(p, t):
+        if not double or t < sys.float_info.min:
+            return None
+        start = tuple(complex(c) if isinstance(c, mpmath.mpc) else float(c)
+                      for c in p)
+        try:
+            q = newton(start, t, float, math.ldexp, 53)
+        except OverflowError:
+            return None
+        return q and tuple(mpmath.mpmathify(c) for c in q)
+
     def carry(p, t, t_next, gap, depth=0):
-        v = solve(p, _to_mpf(ell.a), _to_mpf(ell.b))
+        v = solve(p, _to_mpf(ell.a), _to_mpf(ell.b), _to_mpf)
         if v is not None:
             dt = _to_mpf(t_next - t)
             guess = (p[0] + dt * v[0], p[1] + dt * v[1])
-            q = newton(guess, t_next)
-            if q is not None and _dist(q, guess) < gap / 4:
-                return q
+            refined = refine(guess, t_next)
+            for start in ([refined] if refined else []) + [guess]:
+                q = newton(start, t_next, _to_mpf, mpmath.ldexp, mpmath.mp.prec)
+                if q is not None and _dist(q, guess) < gap / 4:
+                    return q
         if depth == oracle.MAX_HALVINGS:
             return None
         mid = (t + t_next) / 2
@@ -275,13 +290,84 @@ def _reference_track(f, ell, fine, precision):
 
 @pytest.mark.parametrize("text", ["x + x^2*y", "x*y + 1/3*x^3*y^2",
                                   "x*y + 1/3*x^3*y^2 + x^6",
-                                  "(x^2-2)^2 + (y^2-x)^2"])
-def test_tracked_paths_unchanged(text, ell_xy):
+                                  "(x^2-2)^2 + (y^2-x)^2",
+                                  "10^320*x^2 + y^2 + x^3"])
+def test_tracked_paths_unchanged(text, ell_xy, monkeypatch):
     """One table of powers per step and coefficients converted once per
-    track give exactly the points of separate evaluations, bit for bit."""
+    ring give exactly the points of separate evaluations, bit for bit.
+    When the double stage fails, as it does for a coefficient beyond the
+    float range, the corrector is the working-precision Newton alone."""
     f = parse_poly(text, V)
     fine = _refine_schedule(DEFAULT_SCHEDULE)
     assert _track(f, ell_xy, fine, 256) == _reference_track(f, ell_xy, fine, 256)
+    monkeypatch.setattr(oracle, "_refine", lambda *args: None)
+    assert _track(f, ell_xy, fine, 256) == _reference_track(f, ell_xy, fine, 256,
+                                                            double=False)
+
+
+def _count_newton_iterations(monkeypatch):
+    """Count the working-precision Newton iterations from now on: the
+    evaluations of f_x, f_y and the Hessian at an mpmath point."""
+    counts = []
+
+    def counted(p, args, lift):
+        if isinstance(p, tuple) and len(p) == 5 and isinstance(
+                args[0], (mpmath.mpf, mpmath.mpc)):
+            counts.append(args)
+        return substitute(p, args, lift)
+
+    monkeypatch.setattr(oracle, "substitute", counted)
+    return counts
+
+
+def test_working_precision_iterations(sextic_eight, ell_xy, monkeypatch):
+    # the double stage leaves about three working-precision iterations
+    # per step: 654 in all, against 892 with the predictor's guess alone
+    rep = analyze_symbolic(sextic_eight, ell=ell_xy)
+    counts = _count_newton_iterations(monkeypatch)
+    v = classify_trajectories(sextic_eight, ell_xy, DEFAULT_SCHEDULE, rep)
+    assert v.matched, v.mismatches
+    assert 0 < len(counts) < 750
+
+
+def test_real_paths_stay_real(cubic_tail, ell_xy):
+    # x + x^2*y has two real paths; a complex round trip through the
+    # double stage would make mpc points of them
+    trajectories = _track(cubic_tail, ell_xy, _refine_schedule(DEFAULT_SCHEDULE), 256)
+    assert len(trajectories) == 2
+    for tr in trajectories:
+        for p in tr:
+            assert all(type(c) is mpmath.mpf for c in p), p
+
+
+def test_no_double_stage_below_float_range(ell_xy, monkeypatch):
+    # below about 1e-308, t*(a, b) is no float: the double stage is skipped
+    newton, targets = oracle._newton, []
+
+    def recorded(polys, ring, p, target):
+        if ring[0] is float:
+            targets.append(target[0])
+        return newton(polys, ring, p, target)
+
+    monkeypatch.setattr(oracle, "_newton", recorded)
+    fine = _refine_schedule([rat(1, 10**300), rat(1, 10**305), rat(1, 10**310)])
+    trajectories = _track(parse_poly("x^2 + y^2 + x^3", V), ell_xy, fine, 256)
+    assert len(trajectories) == 2
+    assert targets and min(targets) >= sys.float_info.min
+    assert fine[-1] < sys.float_info.min
+
+
+@pytest.mark.parametrize("precision, code, line", [
+    (32, cli.EXIT_MISMATCH, "  mismatch: trajectory tracking failed"),
+    (53, cli.EXIT_OK, "verification: matched=True schedule=1/100,1/1000,"
+                      "1/10000,1/100000")])
+def test_low_precision_tracking(precision, code, line, capsys):
+    # the double stage carries more bits than a 32-bit working precision
+    # but must not make such a run pass: every step still ends with the
+    # working-precision corrector
+    assert cli.main(["--f", "x*y + 1/3*x^3*y^2", "--ell", "x + y", "--verify",
+                     "--precision", str(precision)]) == code
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_coefficients_converted_once(sextic_eight, ell_xy, monkeypatch):

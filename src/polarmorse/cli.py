@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 from .fields import ExtensionTooLarge, rat
 from .poly import PolyParseError, parse_poly
@@ -47,12 +48,16 @@ def _parse_ell(text):
 
 
 def _parse_schedule(text):
+    """--t-schedule values, read exactly by ``Fraction``: 0.01, 1e-2, 1/100."""
     out = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        out.append(rat(*_decimal_to_rat(part)))
+        try:
+            out.append(Fraction(part))
+        except ZeroDivisionError:
+            raise ValueError("zero denominator in %r" % part) from None
     if len(out) < 3:
         raise ValueError("the schedule needs at least 3 values")
     if any(t <= 0 for t in out):
@@ -60,19 +65,6 @@ def _parse_schedule(text):
     if any(t <= t_next for t, t_next in zip(out, out[1:])):
         raise ValueError("the schedule must be strictly decreasing")
     return out
-
-
-def _decimal_to_rat(text):
-    """Exact rational value of a decimal/scientific literal like 1e-3."""
-    mant, _, exp = text.lower().partition("e")
-    exp = int(exp) if exp else 0
-    whole, _, frac = mant.partition(".")
-    digits = (whole or "0") + frac
-    num = int(digits)
-    exp -= len(frac)
-    if exp >= 0:
-        return num * 10 ** exp, 1
-    return num, 10 ** (-exp)
 
 
 def build_parser():
@@ -88,7 +80,7 @@ def build_parser():
     ap.add_argument("--verify", action="store_true",
                     help="run the numeric oracle and diff the counts")
     ap.add_argument("--t-schedule", default=None,
-                    help='comma-separated t values, e.g. "1e-2,1e-3,1e-4"')
+                    help='comma-separated t values, e.g. "1e-2,1e-3,1/10000"')
     ap.add_argument("--precision", type=int, default=256, help="bits")
     ap.add_argument("--max-redraws", type=int, default=16)
     return ap

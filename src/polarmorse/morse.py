@@ -133,7 +133,7 @@ def _expand_retry(germ, compute, bound):
             target *= 2
 
 
-def affine_index(f, ell, polar, pcls, bound=None):
+def affine_index(f, ell, polar, pcls):
     """Attractor record at an isolated affine candidate point."""
     L = pcls.field
     center = (pcls.x, pcls.y)
@@ -143,11 +143,8 @@ def affine_index(f, ell, polar, pcls, bound=None):
     floc = f.to_field(L).translate(center)
     fp = floc.constant_term()
     fsh = floc - Poly.const(L, 2, fp)
-    elloc = ell.poly().to_field(L)
-    ellsh = elloc.translate(center) - Poly.const(
-        L, 2, elloc.eval(center))
-    if bound is None:
-        bound = safety_bound(f, polar)
+    # ell is linear, so ell(p + v) - ell(p) = ell(v)
+    ellsh = ell.poly().to_field(L)
 
     def compute(branches):
         contribs = []
@@ -165,7 +162,7 @@ def affine_index(f, ell, polar, pcls, bound=None):
                                                br.conj_multiplicity))
         return contribs
 
-    contribs = _expand_retry(germ, compute, bound)
+    contribs = _expand_retry(germ, compute, safety_bound(f, polar))
     index = sum(c.contribution * c.conj_multiplicity for c in contribs)
     return Attractor("affine", pcls, None, "finite", L, fp,
                      index, pcls.conj, tuple(contribs))
@@ -201,7 +198,7 @@ def chart_center(ipcls, chart):
     return ipcls.field.inv(ipcls.u)
 
 
-def infinity_index(f, ell, polar, ipcls, chart=None, bound=None):
+def infinity_index(f, ell, polar, ipcls, chart=None):
     """Attractor records (one per limit value alpha) at an infinity point."""
     if chart is None:
         chart = ipcls.chart
@@ -214,8 +211,6 @@ def infinity_index(f, ell, polar, ipcls, chart=None, bound=None):
     germ = G.to_field(K).translate((c0, K.zero()))
     if not K.is_zero(germ.constant_term()):
         raise ValueError("point is not on the closure of the polar curve")
-    if bound is None:
-        bound = safety_bound(f, polar)
 
     def compute(branches):
         data = []
@@ -245,7 +240,7 @@ def infinity_index(f, ell, polar, ipcls, chart=None, bound=None):
                                             max(0, c), br.conj_multiplicity)))
         return data
 
-    data = _expand_retry(germ, compute, bound)
+    data = _expand_retry(germ, compute, safety_bound(f, polar))
     # group branches by the limit value alpha (as an orbit over K)
     groups = {}
     for br, alpha, contrib in data:
@@ -285,12 +280,10 @@ def total_morse_number(attractors):
 
 def compute_attractors(f, ell, polar, sing):
     """All attractor records for an accepted (f, ell)."""
-    bound = safety_bound(f, polar)
-    out = []
-    for p in affine_candidates(polar, sing):
-        out.append(affine_index(f, ell, polar, p, bound=bound))
+    out = [affine_index(f, ell, polar, p)
+           for p in affine_candidates(polar, sing)]
     for ip in polar.infinity_points:
-        out.extend(infinity_index(f, ell, polar, ip, bound=bound))
+        out.extend(infinity_index(f, ell, polar, ip))
     return out
 
 
@@ -380,7 +373,7 @@ def analyze_symbolic(f, ell=None, seed=0, max_redraws=16):
         candidates = draw_generic_ell(seed, max_redraws)
     report = None
     for i, cand in candidates:
-        polar = polar_equation(f, cand)
+        polar = polar_equation(f, cand, sing)
         report = check_genericity(cand, sing, polar)
         report.redraws = i
         report.seed = seed

@@ -114,11 +114,14 @@ def _back_substitute(f, g1, g2, which, roots, tol):
         # substitute the solved coordinate, get univariate polys in the other
         uni = [substitute(tuple(cs), (r,), _to_mpf) for cs in coeffs]
         # use the lowest-degree substituted polynomial that still depends
-        # on the unsolved variable (a vanishing one carries no constraint)
+        # on the unsolved variable (a vanishing one carries no constraint);
+        # a leading coefficient vanishes below tol times its own size at
+        # |r|, sum |c_j| |r|^j, so small roots keep their small coefficients
         trimmed = []
-        for v in uni:
+        for v, cs in zip(uni, coeffs):
             v = list(v)
-            while len(v) > 1 and abs(v[-1]) < tol:
+            while len(v) > 1 and abs(v[-1]) <= tol * substitute(
+                    cs[len(v) - 1], (abs(r),), lambda c: abs(_to_mpf(c))):
                 v.pop()
             if len(v) > 1:
                 trimmed.append(v)

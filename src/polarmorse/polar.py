@@ -2,11 +2,12 @@
 
 For f in two variables and a linear form ell = a*x + b*y, the polar
 curve is the closure of the locus where grad f is parallel to (a, b)
-away from Sing f: the squarefree part of a*f_y - b*f_x with every
-irreducible factor dividing both partials removed.  Genericity of ell
-is certified a posteriori rather than described symbolically: the raw
-polar must be squarefree, and the point of the line ell = 0 on the line
-at infinity must avoid the ends of both the polar curve and Sing f.
+away from Sing f: the squarefree part of a*f_y - b*f_x without the
+one-dimensional components of Sing f, the irreducible factors that
+divide both partials.  Genericity of ell is certified a posteriori
+rather than described symbolically: the raw polar must be squarefree,
+and the point of the line ell = 0 on the line at infinity must avoid the
+ends of both the polar curve and Sing f.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import random
 from dataclasses import dataclass
 
 from .fields import ExtensionField, RationalField, coerce, fresh_name, rat
-from .poly import (Poly, divides, exact_div, factor_qq, factor_univariate,
-                   gcd_qq, gcd_univar, resultant, substitute)
+from .poly import (Poly, exact_div, factor_qq, factor_univariate, gcd_qq,
+                   gcd_univar, resultant, substitute)
 
 QQ = RationalField()
 
@@ -129,13 +130,16 @@ def _root_class(px, base):
     return ext, ext.gen()
 
 
-def polar_equation(f, ell):
-    """The polar curve of f with respect to ell.
+def polar_equation(f, ell, sing):
+    """The polar curve of f with respect to ell, given Sing f.
 
-    The raw polar a*f_y - b*f_x is factored once: the factors dividing
-    both partials are dropped, the others make up the equation, and the
-    multiplicities give the ``squarefree`` flag.  A raw polar that
-    vanishes identically (f a polynomial in ell) gives the zero equation.
+    The raw polar a*f_y - b*f_x is factored once.  A factor of it divides
+    both partials exactly when it divides their gcd, that is when it is a
+    one-dimensional component of Sing f; ``factor_qq`` normalizes the
+    factors of both, so those are dropped by equality.  The others make up
+    the equation, and the multiplicities give the ``squarefree`` flag.  A
+    raw polar that vanishes identically (f a polynomial in ell) gives the
+    zero equation.
     """
     if f.is_constant():
         raise ValueError("polar curve of a constant polynomial")
@@ -145,10 +149,9 @@ def polar_equation(f, ell):
     eq = Poly.const(QQ, 2, rat(1))
     if raw.is_constant():
         return PolarCurve(eq, 0, (), True)
-    fx, fy = f.diff(0), f.diff(1)
     _c, facs = factor_qq(raw)
     for fac, _m in facs:
-        if not (divides(fac, fx) and divides(fac, fy)):
+        if fac not in sing.one_dim_components:
             eq = eq * fac
     squarefree = all(m == 1 for _fac, m in facs)
     if eq.is_constant():

@@ -2,10 +2,10 @@
 
 The main pipeline works with polynomials in at most 3 variables whose
 coefficients live in a field from :mod:`polarmorse.fields`.  Heavy
-classical algorithms over Q (factorization, squarefree part, gcd,
-resultants) are delegated to sympy ``Poly`` methods over ``QQ``; the one
-bridge, ``to_sympy`` / ``from_sympy``, passes exponent dicts both ways and
-builds no sympy expressions.  Everything that must run over an
+classical algorithms over Q (factorization, squarefree part, gcd, exact
+division, resultants) are delegated to sympy ``Poly`` methods over
+``QQ``; the one bridge, ``to_sympy`` / ``from_sympy``, passes exponent
+dicts both ways and builds no sympy expressions.  Everything that must run over an
 extension tower (univariate gcd, bivariate resultant by
 evaluation/interpolation, Trager norm factorization) is implemented here
 directly.  Relative minimal polynomials come from linear algebra on the
@@ -503,57 +503,25 @@ def gcd_univar(p, q):
 
 
 def exact_div(p, q):
-    """Exact division p / q (raises if not divisible)."""
+    """The exact quotient p / q; ArithmeticError when q does not divide p.
+
+    Over Q, in any arity, it is one sympy ``exquo``.  Over an extension
+    field only univariate division is supported, by ``udivmod``."""
     f = p.field
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
+    if isinstance(f, RationalField):
+        try:
+            return from_sympy(to_sympy(p).exquo(to_sympy(q)))
+        except sympy.polys.polyerrors.ExactQuotientFailed as exc:
+            raise ArithmeticError("inexact polynomial division") from exc
+    if p.arity != 1:
+        raise ValueError("exact division over an extension field needs "
+                         "univariate inputs")
     if q.is_constant():
         return p.scale(f.inv(q.constant_term()))
-    # choose a variable present in q and do coefficient-wise division
-    var = next(i for i in range(q.arity) if q.degree_in(i) > 0)
-    pc = p.coeffs_in(var)
-    qc = q.coeffs_in(var)
-    if p.arity == 1:
-        quo, rem = udivmod(f, pc, qc)
-        if rem:
-            raise ArithmeticError("inexact polynomial division")
-        return Poly.from_coeffs(f, quo)
-    # multivariate: recursive pseudo-division in one variable
-    out = []
-    pc = list(pc)
-    lead = qc[-1]
-    while len(pc) >= len(qc):
-        c = _exact_div_coeff(pc[-1], lead)
-        k = len(pc) - len(qc)
-        out.append((k, c))
-        for i, qq in enumerate(qc):
-            pc[k + i] = pc[k + i] - c * qq
-        while pc and pc[-1].is_zero():
-            pc.pop()
-        if not pc:
-            break
-    if pc:
+    quo, rem = udivmod(f, p.coeffs_in(0), q.coeffs_in(0))
+    if rem:
         raise ArithmeticError("inexact polynomial division")
-    terms = {}
-    for k, c in out:
-        for e, v in c.terms.items():
-            e2 = e[:var] + (k,) + e[var:]
-            terms[e2] = v
-    return Poly(f, p.arity, terms)
-
-
-def _exact_div_coeff(a, b):
-    if b.is_constant():
-        return a.scale(a.field.inv(b.constant_term()))
-    return exact_div(a, b)
-
-
-def divides(q, p):
-    try:
-        exact_div(p, q)
-        return True
-    except ArithmeticError:
-        return False
+    return Poly.from_coeffs(f, quo)
 
 
 def squarefree_part(p):

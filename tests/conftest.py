@@ -4,7 +4,7 @@
 import pytest
 
 from polarmorse.fields import rat
-from polarmorse.poly import parse_poly
+from polarmorse.poly import exact_div, parse_poly
 from polarmorse.polar import LinearForm
 from polarmorse.series import LaurentSeries, poly_at_series
 
@@ -31,6 +31,15 @@ def branch_residual(F, branch):
     """F composed with the branch parametrization (must vanish to trunc)."""
     Fb = F.to_field(branch.field)
     return poly_at_series(Fb, (branch.x_series, branch.y_series))
+
+
+def divides(q, p):
+    """Whether q divides p exactly."""
+    try:
+        exact_div(p, q)
+    except ArithmeticError:
+        return False
+    return True
 
 
 def count_vanishing_solutions(g_order, h_order):

@@ -16,7 +16,7 @@ import pytest
 from conftest import branch_residual, count_vanishing_solutions
 from polarmorse.fields import RationalField, rat
 from polarmorse.poly import Poly, minpoly_over, parse_poly, poly_str, resultant
-from polarmorse.polar import LinearForm, polar_equation
+from polarmorse.polar import LinearForm, polar_equation, singular_locus
 from polarmorse.morse import (_chart_polys, analyze_symbolic, chart_center,
                               infinity_index)
 from polarmorse.oracle import critical_points
@@ -217,7 +217,7 @@ def _alpha_key(a):
 def test_criterion_6_chart_independence(golden):
     checked = 0
     for f, rep, _e, _l in golden.values():
-        polar = polar_equation(f, rep.ell)
+        polar = polar_equation(f, rep.ell, singular_locus(f))
         for ip in polar.infinity_points:
             per_chart = {}
             for chart in ("y", "x"):
@@ -247,7 +247,7 @@ def test_criterion_7_ell_invariance(golden):
 
 def _center_groups(f, rep):
     """(germ, branches) for every expansion center used by a report."""
-    polar = polar_equation(f, rep.ell)
+    polar = polar_equation(f, rep.ell, singular_locus(f))
     groups = {}
     for a in rep.attractors:
         K = a.point.field

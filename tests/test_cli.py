@@ -133,6 +133,14 @@ def test_bad_schedule_exit_code(capsys, oracle_unreachable, text):
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+def test_schedule_zero_denominator_exit_code(capsys, oracle_unreachable):
+    code, out, err = run_cli(capsys, "--f", "x + x^2*y", "--ell", "x + y",
+                             "--verify", "--t-schedule", "1/100,1/1000,1/0")
+    assert code == cli.EXIT_PARSE
+    assert out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("bits", ["0", "-8"])
 def test_bad_precision_exit_code(capsys, oracle_unreachable, bits):
     code, out, err = run_cli(capsys, "--f", "x + x^2*y", "--ell", "x + y",
@@ -179,10 +187,10 @@ def test_linear_f(capsys):
 
 
 def test_decimal_to_rat_exact():
-    assert cli._decimal_to_rat("1e-3") == (1, 1000)
-    assert cli._decimal_to_rat("0.25") == (25, 100)
-    assert cli._decimal_to_rat("2.5e1") == (25, 1)
-    assert cli._decimal_to_rat("3") == (3, 1)
+    # schedule literals are read as exact rationals, p/q as the JSON prints
+    assert cli._parse_schedule("2.5e1, 3, 0.25, 1e-3, 1/3000") == [
+        rat(25), rat(3), rat(1, 4), rat(1, 1000), rat(1, 3000)]
+    assert cli._parse_schedule("1e-150,1e-151,1E-152")[-1] == rat(1, 10**152)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED) + sorted(

@@ -61,8 +61,8 @@ def test_sextic_report(sextic_eight, ell_xy):
 
 
 def test_affine_candidates_restricted_to_polar(quintic_node, ell_xy):
-    polar = polar_equation(quintic_node, ell_xy)
     sing = singular_locus(quintic_node)
+    polar = polar_equation(quintic_node, ell_xy, sing)
     cands = affine_candidates(polar, sing)
     assert len(cands) == 1
     assert cands[0].x == rat(0) and cands[0].y == rat(0)
@@ -73,7 +73,8 @@ def test_affine_candidates_where_components_meet():
     # the polar curve; (-2/5, -2/5) is an isolated singular point
     f = parse_poly("x^2*y^2*(x + y + 1)", V)
     ell = LinearForm(rat(1), rat(2))
-    cands = affine_candidates(polar_equation(f, ell), singular_locus(f))
+    sing = singular_locus(f)
+    cands = affine_candidates(polar_equation(f, ell, sing), sing)
     coords = [(c.x, c.y) for c in cands]
     assert all(c.field is QQ for c in cands)
     assert sorted(coords) == [(rat(-1), rat(0)), (rat(-2, 5), rat(-2, 5)),
@@ -102,7 +103,7 @@ def test_chart_consistency_recorded(quintic_node, ell_xy):
 
 def test_chart_independence(cubic_tail, quintic_node, ell_xy):
     for f in (cubic_tail, quintic_node):
-        polar = polar_equation(f, ell_xy)
+        polar = polar_equation(f, ell_xy, singular_locus(f))
         for ip in polar.infinity_points:
             results = {}
             for chart in ("y", "x"):

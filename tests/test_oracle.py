@@ -30,6 +30,20 @@ def test_critical_points_closed_form(cubic_tail, ell_xy):
             assert abs(1 + 2 * x * y - mpmath.mpf(1) / 10000) < 1e-30
 
 
+@pytest.mark.parametrize("k", [130, 150])
+def test_critical_points_at_small_t(cubic_tail, ell_xy, k):
+    # at x = +-sqrt(t) the coefficient 2x of y in 1 + 2xy - t is far below
+    # the absolute tolerance 1e-64 of 256 bits, yet not below its own size
+    t = rat(1, 10**k)
+    cs = critical_points(cubic_tail, ell_xy, t)
+    assert len(cs.points) == 2
+    with mpmath.workprec(256):
+        xs = sorted(p[0].real for p in cs.points)
+        assert xs[0] < 0 < xs[1]
+        for x in xs:
+            assert x * x / _to_mpf(t) == pytest.approx(1, rel=1e-3)
+
+
 def test_critical_points_quadratic(ell_xy):
     f = parse_poly("x^2 + y^2", V)
     cs = critical_points(f, ell_xy, rat(1, 100))

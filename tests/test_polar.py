@@ -1,12 +1,18 @@
 import pytest
 
+from conftest import divides
 from polarmorse.fields import RationalField, rat
-from polarmorse.poly import divides, parse_poly
-from polarmorse.polar import (LinearForm, check_genericity, draw_generic_ell,
-                              polar_equation, singular_locus)
+from polarmorse.poly import Poly, factor_qq, parse_poly
+from polarmorse.polar import (LinearForm, SingularLocus, check_genericity,
+                              draw_generic_ell, polar_equation, singular_locus)
 
 QQ = RationalField()
 V = ("x", "y")
+
+
+def polar_of(f, ell):
+    """The polar curve of (f, ell), with Sing f computed for it."""
+    return polar_equation(f, ell, singular_locus(f))
 
 
 def test_linear_form_rejects_zero():
@@ -15,14 +21,14 @@ def test_linear_form_rejects_zero():
 
 
 def test_polar_equation_cubic(cubic_tail, ell_xy):
-    pc = polar_equation(cubic_tail, ell_xy)
+    pc = polar_of(cubic_tail, ell_xy)
     # x^2 - 2xy - 1 = -(2xy + 1 - x^2)
     assert pc.equation == parse_poly("x^2 - 2*x*y - 1", V)
     assert pc.degree == 2
 
 
 def test_polar_equation_quintic(quintic_node, ell_xy):
-    pc = polar_equation(quintic_node, ell_xy)
+    pc = polar_of(quintic_node, ell_xy)
     expected = parse_poly("y - x + x^2*y^2 - 2/3*x^3*y", V)
     # equal up to a constant unit
     ratio = None
@@ -34,35 +40,54 @@ def test_polar_equation_quintic(quintic_node, ell_xy):
 
 
 def test_polar_quadratic_is_line(ell_xy):
-    pc = polar_equation(parse_poly("x^2 + y^2", V), ell_xy)
+    pc = polar_of(parse_poly("x^2 + y^2", V), ell_xy)
     assert pc.degree == 1
     assert set(pc.equation.terms) == {(1, 0), (0, 1)}
 
 
-def test_polar_factors_divide_raw_and_not_both_partials(sextic_eight, ell_xy):
-    f = sextic_eight
-    pc = polar_equation(f, ell_xy)
-    raw = f.diff(1).scale(rat(1)) - f.diff(0).scale(rat(1))
-    assert divides(pc.equation, raw)
+@pytest.mark.parametrize("text", [
+    pytest.param("x*y + 1/3*x^3*y^2 + x^6", id="sextic"),
+    pytest.param("(x^2 - y^2)^2*(x + 3)", id="two_lines"),
+    pytest.param("x^2*y^2*(x + y + 1)", id="axes"),
+    # f = p^2*q, as in the benchmark's non-reduced corpus
+    pytest.param("(x - 2*y + 1)^2*(x^2 + y - 2)", id="p2q_line"),
+    pytest.param("(2*x^2 - x*y + y - 1)^2*(x + 2*y)", id="p2q_conic"),
+    pytest.param("(x*y - x + 2)^2*(y^2 + x - 1)", id="p2q_hyperbola")])
+def test_polar_factors_divide_raw_and_not_both_partials(text, ell_xy):
+    # the equation is the product of the factors of the raw polar that do
+    # not divide both partials; those that do are the curves of Sing f
+    f = parse_poly(text, V)
+    sing = singular_locus(f)
+    pc = polar_equation(f, ell_xy, sing)
     fx, fy = f.diff(0), f.diff(1)
-    assert not (divides(pc.equation, fx) and divides(pc.equation, fy))
+    raw = fy - fx
+    expected = Poly.const(QQ, 2, rat(1))
+    dropped = 0
+    for fac, _m in factor_qq(raw)[1]:
+        if divides(fac, fx) and divides(fac, fy):
+            dropped += 1
+        else:
+            expected = expected * fac
+    assert pc.equation == expected
+    assert divides(pc.equation, raw)
+    assert dropped == len(sing.one_dim_components)
 
 
 def test_infinity_points_cubic(cubic_tail, ell_xy):
-    pts = polar_equation(cubic_tail, ell_xy).infinity_points
+    pts = polar_of(cubic_tail, ell_xy).infinity_points
     reps = sorted(p.coords_str() for p in pts)
     assert reps == ["[0 : 1 : 0]", "[2 : 1 : 0]"]
 
 
 def test_infinity_points_quintic(quintic_node, ell_xy):
-    pts = polar_equation(quintic_node, ell_xy).infinity_points
+    pts = polar_of(quintic_node, ell_xy).infinity_points
     reps = sorted(p.coords_str() for p in pts)
     assert reps == ["[0 : 1 : 0]", "[1 : 0 : 0]", "[3/2 : 1 : 0]"]
 
 
 def test_infinity_multiplicities_sum_to_degree(quintic_node, sextic_eight, ell_xy):
     for f in (quintic_node, sextic_eight):
-        pc = polar_equation(f, ell_xy)
+        pc = polar_of(f, ell_xy)
         assert sum(p.mult * p.conj for p in pc.infinity_points) == pc.degree
 
 
@@ -90,7 +115,7 @@ def test_singular_locus_eight_points(sextic_eight):
 
 
 def test_singular_points_lie_on_polar(sextic_eight, ell_xy):
-    pc = polar_equation(sextic_eight, ell_xy)
+    pc = polar_of(sextic_eight, ell_xy)
     for p in singular_locus(sextic_eight).isolated_points:
         val = pc.equation.to_field(p.field).eval((p.x, p.y))
         assert p.field.is_zero(val)
@@ -103,7 +128,8 @@ def test_one_dim_component_detected():
 
 
 def genericity(f, ell):
-    return check_genericity(ell, singular_locus(f), polar_equation(f, ell))
+    sing = singular_locus(f)
+    return check_genericity(ell, sing, polar_equation(f, ell, sing))
 
 
 def test_genericity_accepts_good_pair(cubic_tail, ell_xy):
@@ -139,20 +165,21 @@ def test_draw_height_bound():
 
 
 def test_polar_records_squarefree_flag(ell_xy):
-    assert polar_equation(parse_poly("x^2 + y^2", V), ell_xy).squarefree
-    pc = polar_equation(parse_poly("x^2*y", V), LinearForm(rat(1), rat(0)))
+    assert polar_of(parse_poly("x^2 + y^2", V), ell_xy).squarefree
+    pc = polar_of(parse_poly("x^2*y", V), LinearForm(rat(1), rat(0)))
     assert not pc.squarefree
 
 
 def test_polar_of_a_function_of_ell_is_zero():
     f = parse_poly("(x + 2*y)^3 + x + 2*y", V)
     ell = LinearForm(rat(1), rat(2))
-    pc = polar_equation(f, ell)
+    sing = singular_locus(f)
+    pc = polar_equation(f, ell, sing)
     assert pc.equation.is_zero() and not pc.squarefree
-    rep = check_genericity(ell, singular_locus(f), pc)
+    rep = check_genericity(ell, sing, pc)
     assert not (rep.polar_squarefree or rep.ell_avoids_infinity_points)
 
 
 def test_polar_constant_rejected(ell_xy):
     with pytest.raises(ValueError):
-        polar_equation(parse_poly("5", V), ell_xy)
+        polar_equation(parse_poly("5", V), ell_xy, SingularLocus((), ()))

@@ -2,9 +2,10 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import divides
 from polarmorse.fields import ExtensionField, RationalField, rat
-from polarmorse.poly import (Poly, PolyParseError, divides, exact_div,
-                             factor_qq, factor_univariate, from_sympy, gcd_qq,
+from polarmorse.poly import (Poly, PolyParseError, exact_div, factor_qq,
+                             factor_univariate, from_sympy, gcd_qq,
                              gcd_univar, minpoly_over, parse_poly, poly_str,
                              resultant, squarefree_part, substitute, to_sympy)
 from polarmorse.oracle import _to_mpf
@@ -125,6 +126,21 @@ def test_exact_div_and_divides():
     assert exact_div(p, q) == parse_poly("x + y", V)
     assert divides(q, p)
     assert not divides(parse_poly("x + 1", V), p)
+    with pytest.raises(ZeroDivisionError):
+        exact_div(p, Poly.zero(QQ, 2))
+
+
+def test_exact_div_over_extension():
+    # univariate over Q(sqrt 2) by udivmod; multivariate is not supported
+    s = Poly.const(SQRT2, 1, SQRT2.gen())
+    t = Poly.var(SQRT2, 1, 0)
+    assert exact_div(t * t - Poly.const(SQRT2, 1, SQRT2.from_rat(rat(2))),
+                     t - s) == t + s
+    with pytest.raises(ArithmeticError):
+        exact_div(t * t, t - s)
+    xy = parse_poly("x*y", V).to_field(SQRT2)
+    with pytest.raises(ValueError):
+        exact_div(xy, xy)
 
 
 def test_gcd_and_squarefree():

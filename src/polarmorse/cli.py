@@ -10,7 +10,8 @@ Exit codes: 0 success; 2 parse error; 3 genericity exhausted;
 1 internal invariant violation.  Exit 2 covers every input error, found
 before the analysis starts: an unparsable --f or --ell, a constant --f,
 a --t-schedule without at least 3 positive, strictly decreasing values,
-a --precision below 1 and a --max-redraws below 1.  Any other error
+a --precision below 1 or above the oracle's cap of 4096 bits
+(``oracle.MAX_PRECISION``) and a --max-redraws below 1.  Any other error
 raised during the analysis ends in exit 1.
 """
 
@@ -24,7 +25,7 @@ from .fields import ExtensionTooLarge, rat
 from .poly import PolyParseError, parse_poly
 from .polar import GenericityError, LinearForm
 from .morse import analyze_symbolic
-from .oracle import DEFAULT_SCHEDULE, classify_trajectories
+from .oracle import DEFAULT_SCHEDULE, MAX_PRECISION, classify_trajectories
 from .report import to_json, to_text
 
 VARIABLES = ("x", "y")
@@ -94,6 +95,9 @@ def run(args):
             else list(DEFAULT_SCHEDULE)
         if args.precision < 1:
             raise ValueError("the precision must be at least 1 bit")
+        if args.precision > MAX_PRECISION:
+            raise ValueError("the precision must be at most %d bits"
+                             % MAX_PRECISION)
         if args.max_redraws < 1:
             raise ValueError("max_redraws must be at least 1")
         if f.is_constant():

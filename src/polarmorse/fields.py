@@ -11,11 +11,15 @@ base.  A field is only its definition; its numeric embeddings (one complex
 root per generator) are computed on first use and kept, so that elements
 can be approximated, compared against numerics, and serialized
 deterministically.  Numbers are sorted and deduplicated by one key,
-``conj_key``, so no order depends on how a field is presented.
+``conj_key``, so no order depends on how a field is presented.  One root
+finder, ``poly_roots``, serves the embeddings here and the oracle's
+start solve: Durand–Kerner in hardware floats gives the start points of
+``mpmath.polyroots`` at the working precision.
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from math import lcm
 
@@ -32,6 +36,9 @@ DEFAULT_TOWER_CAP = 16
 
 #: Working decimal precision for embedding roots.
 EMBED_DPS = 60
+
+#: Relative size of a correction at which the float root finder stops.
+FLOAT_TOL = 2.0 ** -50
 
 
 class ExtensionTooLarge(Exception):
@@ -200,15 +207,59 @@ def ugcdext(field, a, b):
     return r0, s0, t0
 
 
-def _poly_roots(coeffs_mpc):
-    """All complex roots of a polynomial given low-to-high mpc coefficients,
-    in ``conj_key`` order."""
-    cs = list(coeffs_mpc)
+def _float_seeds(coeffs, maxsteps):
+    """Durand–Kerner in hardware ``complex`` on high-to-low coefficients,
+    from mpmath's own start points (0.4+0.9i)^k: the iterates once every
+    correction is below FLOAT_TOL of its root, or after ``maxsteps`` sweeps.
+    None when a coefficient or an iterate is not a finite float
+    (``complex`` of a huge mpf is inf, it does not raise)."""
+    cs = [complex(c) for c in coeffs]
+    if not all(map(cmath.isfinite, cs)) or not cs[0]:
+        return None
+    cs = [c / cs[0] for c in cs]
+    roots = [(0.4 + 0.9j) ** k for k in range(len(cs) - 1)]
+    for _ in range(maxsteps):
+        done = True
+        for i, p in enumerate(roots):
+            x = 0j
+            for c in cs:
+                x = x * p + c
+            for q in roots:
+                if q != p:
+                    x /= p - q
+            roots[i] = p - x
+            done = done and abs(x) <= FLOAT_TOL * abs(p)
+        if not all(map(cmath.isfinite, roots)):
+            return None
+        if done:
+            break
+    return roots
+
+
+def poly_roots(coeffs, maxsteps, extraprec):
+    """All complex roots of a polynomial given low-to-high mpmath
+    coefficients (exact zero leading ones are dropped), in ``conj_key``
+    order.  ``mpmath.polyroots`` at the working precision starts from the
+    roots found in hardware floats by ``_float_seeds``, or from its own
+    start points when there are none or the seeded call does not
+    converge; either way its stopping test is the same, so the seeds move
+    only where the iteration starts, not the roots it returns."""
+    cs = list(coeffs)
     while cs and abs(cs[-1]) == 0:
         cs.pop()
     if len(cs) <= 1:
         return []
-    roots = mpmath.polyroots(list(reversed(cs)), maxsteps=300, extraprec=200)
+    cs.reverse()
+    seeds = _float_seeds(cs, maxsteps)
+    roots = None
+    if seeds is not None:
+        try:
+            roots = mpmath.polyroots(cs, maxsteps=maxsteps, extraprec=extraprec,
+                                     roots_init=seeds)
+        except mpmath.libmp.NoConvergence:
+            pass
+    if roots is None:
+        roots = mpmath.polyroots(cs, maxsteps=maxsteps, extraprec=extraprec)
     return sorted(roots, key=conj_key)
 
 
@@ -417,7 +468,7 @@ class ExtensionField:
             with mpmath.workdps(EMBED_DPS):
                 for emb in self.base.embeddings():
                     coeffs = [self.base.to_mpc(c, emb) for c in self.minpoly]
-                    for r in _poly_roots(coeffs):
+                    for r in poly_roots(coeffs, 300, 200):
                         out.append(emb + (r,))
             self._embeddings = tuple(out)
         return self._embeddings

@@ -1,8 +1,11 @@
 """Numeric verification of the symbolic attractor report.
 
 Solves the critical-point system grad f = t * (a, b) once, at the largest
-t, by resultant elimination plus multiprecision root finding, and carries
-each solution down the schedule by predictor-corrector continuation.
+t, by resultant elimination plus ``fields.poly_roots`` (multiprecision
+Durand–Kerner seeded from hardware floats) on the eliminant and on each
+back-substituted polynomial, takes the points in ``conj_key`` order, and
+carries each solution down the schedule by predictor-corrector
+continuation.
 Each trajectory is classified as converging to an affine attractor or
 escaping to a direction at infinity (with its f-limit), and the cluster
 sizes are diffed against the symbolic indices.  Nothing here reuses
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .fields import RationalField, rat
+from .fields import RationalField, conj_key, poly_roots, rat
 from .poly import Poly, resultant, squarefree_part, substitute
 from .puiseux import INFINITE
 
@@ -52,18 +55,16 @@ def _to_mpf(q):
     return mpmath.mpf(int(q.numerator)) / mpmath.mpf(int(q.denominator))
 
 
-def _poly_to_mp(p):
-    """Univariate rational Poly -> high-to-low mpf coefficient list."""
-    cs = p.coeffs_in(0)
-    return [_to_mpf(c) for c in reversed(cs)]
-
-
 def critical_points(f, ell, t, precision=256):
-    """All complex solutions of {f_x = t*a, f_y = t*b}."""
+    """All complex solutions of {f_x = t*a, f_y = t*b}, sorted by
+    (conj_key(x), conj_key(y)); the root finding starts at ``precision``
+    bits and doubles it up to MAX_PRECISION."""
     if t == 0:
         raise ValueError("the deformation parameter must be nonzero")
     if precision < 1:
         raise ValueError("the precision must be at least 1 bit")
+    if precision > MAX_PRECISION:
+        raise ValueError("the precision must be at most %d bits" % MAX_PRECISION)
     if f.is_constant():
         raise ValueError("a constant polynomial has no critical points")
     g1 = f.diff(0) - Poly.const(QQ, 2, rat(t) * rat(ell.a))
@@ -90,14 +91,15 @@ def critical_points(f, ell, t, precision=256):
         with mpmath.workprec(prec):
             tol = mpmath.mpf(10) ** (-(prec // 4))
             try:
-                roots = mpmath.polyroots(_poly_to_mp(elim), maxsteps=200,
-                                         extraprec=prec)
+                roots = poly_roots([_to_mpf(c) for c in elim.coeffs_in(0)],
+                                   200, prec)
             except mpmath.libmp.NoConvergence:
                 roots = None
             if roots is not None:
                 pts = _back_substitute(f, g1, g2, which, roots, tol)
                 if pts is not None:
-                    return CriticalSet(tuple(pts))
+                    return CriticalSet(tuple(sorted(
+                        pts, key=lambda p: (conj_key(p[0]), conj_key(p[1])))))
         prec *= 2
         if prec > MAX_PRECISION:
             raise ArithmeticError("root finding failed at precision cap")
@@ -130,8 +132,7 @@ def _back_substitute(f, g1, g2, which, roots, tol):
         trimmed.sort(key=len)
         try:
             # badly scaled coefficients are common here; boost precision
-            yroots = mpmath.polyroots(list(reversed(trimmed[0])), maxsteps=200,
-                                      extraprec=mpmath.mp.prec)
+            yroots = poly_roots(trimmed[0], 200, mpmath.mp.prec)
         except mpmath.libmp.NoConvergence:
             return None
         for yr in yroots:
@@ -252,7 +253,8 @@ def _gaps(points):
 def _track(f, ell, fine, precision):
     """Solve once at fine[0] and carry every critical point through the
     later values of ``fine``: one list of points per trajectory, in the
-    solver's order, or None when some step fails or two paths merge."""
+    order of ``critical_points``, or None when some step fails or two
+    paths merge."""
     fx, fy = f.diff(0), f.diff(1)
     polys = (fx, fy, fx.diff(0), fx.diff(1), fy.diff(1))
     trajectories = [[p] for p in critical_points(f, ell, fine[0], precision).points]

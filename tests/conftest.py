@@ -1,6 +1,7 @@
 """Fixtures and helpers shared by the tests; the helpers are imported as
 ``from conftest import ...``."""
 
+import mpmath
 import pytest
 
 from polarmorse.fields import rat
@@ -40,6 +41,20 @@ def divides(q, p):
     except ArithmeticError:
         return False
     return True
+
+
+def count_polyval(monkeypatch):
+    """Count the polynomial evaluations of mpmath's Durand–Kerner
+    iteration from now on: one per root per sweep."""
+    calls = []
+    real = type(mpmath.mp).polyval
+
+    def polyval(ctx, *args, **kwargs):
+        calls.append(None)
+        return real(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(type(mpmath.mp), "polyval", polyval)
+    return calls
 
 
 def count_vanishing_solutions(g_order, h_order):

@@ -141,7 +141,7 @@ def test_schedule_zero_denominator_exit_code(capsys, oracle_unreachable):
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("bits", ["0", "-8"])
+@pytest.mark.parametrize("bits", ["0", "-8", "4097", "65536"])
 def test_bad_precision_exit_code(capsys, oracle_unreachable, bits):
     code, out, err = run_cli(capsys, "--f", "x + x^2*y", "--ell", "x + y",
                              "--verify", "--precision", bits)

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polarmorse import fields
-from polarmorse.fields import (ExtensionField, ExtensionTooLarge,
-                               RationalField, rat, udivmod, umul, utrim)
+from polarmorse.fields import (EMBED_DPS, ExtensionField, ExtensionTooLarge,
+                               RationalField, conj_key, poly_roots, rat,
+                               udivmod, ugcd, umul, utrim)
 
 QQ = RationalField()
 
@@ -79,7 +80,7 @@ def test_construction_finds_no_roots(monkeypatch):
     def no_roots(*args, **kwargs):
         raise AssertionError("root finding is not needed for exact arithmetic")
 
-    monkeypatch.setattr(fields, "_poly_roots", no_roots)
+    monkeypatch.setattr(fields, "poly_roots", no_roots)
     _K, L = sqrt2_tower()
     b = L.add(L.one(), L.gen())
     assert L.eq(L.mul(b, L.inv(b)), L.one())
@@ -89,13 +90,13 @@ def test_construction_finds_no_roots(monkeypatch):
 
 def test_embeddings_computed_once(monkeypatch):
     calls = []
-    real = fields._poly_roots
+    real = fields.poly_roots
 
     def counting(coeffs, *args, **kwargs):
         calls.append(len(coeffs))
         return real(coeffs, *args, **kwargs)
 
-    monkeypatch.setattr(fields, "_poly_roots", counting)
+    monkeypatch.setattr(fields, "poly_roots", counting)
     K, L = sqrt2_tower()
     embs = L.embeddings()
     assert isinstance(embs, tuple) and len(embs) == 4
@@ -201,3 +202,85 @@ def test_pow_matches_repeated_mul(p, n):
     for _ in range(abs(n)):
         want = K.mul(want, a if n > 0 else K.inv(a))
     assert K.pow(a, n) == want
+
+
+# --- the seeded root finder --------------------------------------------
+
+@st.composite
+def squarefree_int_polys(draw):
+    """Low-to-high integer coefficients of a squarefree polynomial of
+    degree 1-16."""
+    d = draw(st.integers(1, 16))
+    cs = draw(st.lists(st.integers(-30, 30), min_size=d, max_size=d))
+    cs.append(draw(st.integers(1, 30)) * draw(st.sampled_from((-1, 1))))
+    deriv = [k * c for k, c in enumerate(cs)][1:]
+    assume(len(ugcd(QQ, [rat(c) for c in cs], [rat(c) for c in deriv])) == 1)
+    return cs
+
+
+def unseeded_roots(cs, maxsteps, extraprec):
+    roots = mpmath.polyroots(list(reversed(cs)), maxsteps=maxsteps,
+                             extraprec=extraprec)
+    return sorted(roots, key=conj_key)
+
+
+# the two settings of the program: the embeddings, and the oracle's solve
+SETTINGS = ((lambda: mpmath.workdps(EMBED_DPS), 300, 200),
+            (lambda: mpmath.workprec(256), 200, 256))
+
+
+@settings(max_examples=30, deadline=None)
+@given(squarefree_int_polys())
+def test_seeded_roots_equal_unseeded(cs):
+    for context, maxsteps, extraprec in SETTINGS:
+        with context():
+            coeffs = [mpmath.mpf(c) for c in cs]
+            assert fields._float_seeds(list(reversed(coeffs)), maxsteps)
+            got = poly_roots(coeffs, maxsteps, extraprec)
+            assert got == unseeded_roots(coeffs, maxsteps, extraprec)
+
+
+def recording_polyroots(monkeypatch, fail_seeded=False):
+    """Replace mpmath.polyroots by a wrapper that records whether each
+    call was seeded; with ``fail_seeded`` a seeded call raises
+    NoConvergence."""
+    calls = []
+    real = mpmath.polyroots
+
+    def polyroots(coeffs, **kwargs):
+        seeded = kwargs.get("roots_init") is not None
+        calls.append(seeded)
+        if seeded and fail_seeded:
+            raise mpmath.libmp.NoConvergence("seeded call refused")
+        return real(coeffs, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", polyroots)
+    return calls
+
+
+def test_root_finder_without_float_seeds(monkeypatch):
+    # 10^400 (x^3 - 2x + 1): complex() of each coefficient is inf
+    with mpmath.workprec(256):
+        cs = [c * mpmath.mpf(10) ** 400 for c in (1, -2, 0, 1)]
+        assert fields._float_seeds(list(reversed(cs)), 200) is None
+        want = unseeded_roots(cs, 200, 256)
+        calls = recording_polyroots(monkeypatch)
+        assert poly_roots(cs, 200, 256) == want
+    assert calls == [False]
+
+
+def test_root_finder_repeats_a_seeded_call_unseeded(monkeypatch):
+    with mpmath.workdps(EMBED_DPS):
+        cs = [mpmath.mpc(c) for c in (-2, 0, 0, 1)]
+        want = unseeded_roots(cs, 300, 200)
+        calls = recording_polyroots(monkeypatch, fail_seeded=True)
+        assert poly_roots(cs, 300, 200) == want
+    assert calls == [True, False]
+    assert len(want) == 3
+
+
+def test_root_finder_trims_zero_leading_coefficients():
+    with mpmath.workprec(256):
+        cs = [mpmath.mpf(c) for c in (-2, 0, 1, 0, 0)]
+        assert poly_roots(cs, 200, 256) == unseeded_roots(cs[:3], 200, 256)
+        assert poly_roots([mpmath.mpf(3), mpmath.mpf(0)], 200, 256) == []

@@ -4,11 +4,13 @@ import sys
 
 import mpmath
 import pytest
+from conftest import count_polyval
 
 from polarmorse import cli, oracle
-from polarmorse.fields import rat
+from polarmorse.fields import conj_key, rat
 from polarmorse.poly import parse_poly, substitute
 from polarmorse.morse import analyze_symbolic
+from polarmorse.polar import LinearForm
 from polarmorse.oracle import (DEFAULT_SCHEDULE, _dist, _refine_schedule,
                                _to_mpf, _track, classify_trajectories,
                                critical_points)
@@ -110,6 +112,39 @@ def test_verdict_detects_wrong_report(cubic_tail, quintic_node, ell_xy):
 def test_rejects_precision_below_one(cubic_tail, ell_xy):
     with pytest.raises(ValueError):
         critical_points(cubic_tail, ell_xy, rat(1, 100), precision=0)
+
+
+def test_rejects_precision_above_cap(cubic_tail, ell_xy):
+    with pytest.raises(ValueError):
+        critical_points(cubic_tail, ell_xy, rat(1, 100),
+                        precision=oracle.MAX_PRECISION + 1)
+
+
+def point_key(p):
+    return conj_key(p[0]), conj_key(p[1])
+
+
+@pytest.mark.parametrize("text, ell", [
+    ("x*y + 1/3*x^3*y^2 + x^6", LinearForm(rat(1), rat(1))),
+    # verify-d6 input 19: 16 points, conjugate pairs among them
+    ("-3/2*x^5 - x^2*y^3 - y^5", LinearForm(rat(1), rat(-59, 34)))])
+def test_critical_points_in_key_order(text, ell, monkeypatch):
+    f = parse_poly(text, V)
+    points = critical_points(f, ell, rat(1, 100)).points
+    keys = [point_key(p) for p in points]
+    assert len(points) > 1 and keys == sorted(set(keys))
+    # the order does not depend on the order the root finder lands in
+    real = oracle.poly_roots
+    monkeypatch.setattr(oracle, "poly_roots",
+                        lambda *args: real(*args)[::-1])
+    assert critical_points(f, ell, rat(1, 100)).points == points
+
+
+def test_start_solve_is_seeded(sextic_eight, ell_xy, monkeypatch):
+    # the float seeds leave 3-4 sweeps per solve (426 evaluations unseeded)
+    calls = count_polyval(monkeypatch)
+    assert len(critical_points(sextic_eight, ell_xy, rat(1, 100)).points) == 9
+    assert 0 < len(calls) <= 200
 
 
 @pytest.mark.parametrize("schedule", [(rat(1, 100), rat(1, 1000), rat(0)),

@@ -3,6 +3,7 @@ import json
 
 import mpmath
 import pytest
+from conftest import count_polyval
 
 from polarmorse import fields, morse, report
 from polarmorse.fields import ExtensionField, RationalField, rat
@@ -77,7 +78,7 @@ def test_root_index_is_position_among_sorted_roots(name):
 
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_no_root_finding_after_analysis(monkeypatch, name):
-    # every route to fields._poly_roots ends in mpmath.polyroots
+    # every route to fields.poly_roots ends in mpmath.polyroots
     f, ell, seed = INPUTS[name]
     rep = analyze_symbolic(parse_poly(f, V), ell=ell, seed=seed)
     calls = []
@@ -94,6 +95,14 @@ def test_no_root_finding_after_analysis(monkeypatch, name):
     rebuilt = build_report(rep.f, rep.ell, rep.genericity, rep.attractors)
     assert rebuilt.individuals == rep.individuals
     assert calls == []
+
+
+def test_embeddings_are_seeded(monkeypatch, sextic_eight, ell_xy):
+    # the float seeds leave 3-4 sweeps per embedding solve (112
+    # evaluations unseeded)
+    calls = count_polyval(monkeypatch)
+    to_json(analyze_symbolic(sextic_eight, ell=ell_xy))
+    assert 0 < len(calls) <= 40
 
 
 def test_conjugates_json_certifies_their_number():
@@ -135,9 +144,9 @@ def test_minpoly_once_per_orbit_coordinate(monkeypatch, sextic_eight, ell_xy):
 def test_json_independent_of_root_order(monkeypatch, name):
     f, ell, seed = INPUTS[name]
     text = to_json(analyze_symbolic(parse_poly(f, V), ell=ell, seed=seed))
-    real = fields._poly_roots
-    monkeypatch.setattr(fields, "_poly_roots",
-                        lambda coeffs: real(coeffs)[::-1])
+    real = fields.poly_roots
+    monkeypatch.setattr(fields, "poly_roots",
+                        lambda *args: real(*args)[::-1])
     rep = analyze_symbolic(parse_poly(f, V), ell=ell, seed=seed)
     assert to_json(rep) == text
 

@@ -271,10 +271,12 @@ def conj_key(z):
         return tuple(int(mpmath.nint(v * 10 ** 30)) for v in (z.real, z.imag))
 
 
-def distinct_sorted(values):
-    """One value per ``conj_key``, in key order."""
-    out = {conj_key(z): z for z in values}
-    return [out[k] for k in sorted(out)]
+def on_grid(z):
+    """z rounded to the ``conj_key`` grid: a number read off an embedding,
+    independent of the field's presentation (no stray 1e-41*i)."""
+    with mpmath.workdps(40):
+        re, im = conj_key(z)
+        return mpmath.mpc(re, im) / 10 ** 30
 
 
 class ExtensionField:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .fields import RationalField, coerce, conj_key, distinct_sorted, rat
+from .fields import RationalField, coerce, conj_key, on_grid, rat
 from .poly import Poly, minpoly_over
 from .polar import (GenericityError, LinearForm, _common_zeros,
                     check_genericity, draw_generic_ell, polar_equation,
@@ -325,17 +325,19 @@ def _orbit_individuals(a):
     with mpmath.workdps(40):
         for emb in K.embeddings():
             if a.kind == "affine":
-                loc = (K.to_mpc(a.point.x, emb), K.to_mpc(a.point.y, emb))
+                loc = (on_grid(K.to_mpc(a.point.x, emb)),
+                       on_grid(K.to_mpc(a.point.y, emb)))
             elif a.point.u is None:
                 loc = ("x-point",)
             else:
-                loc = (K.to_mpc(a.point.u, emb),)
+                loc = (on_grid(K.to_mpc(a.point.u, emb)),)
             if a.alpha_kind == "infinite":
                 alphas = [INFINITE]
             else:
-                alphas = distinct_sorted(
-                    F.to_mpc(a.alpha_value, E) for E in F.embeddings()
-                    if E[:len(emb)] == emb)
+                # on the grid, numbers with one key are one number
+                alphas = sorted({on_grid(F.to_mpc(a.alpha_value, E))
+                                 for E in F.embeddings()
+                                 if E[:len(emb)] == emb}, key=conj_key)
             out.extend(IndividualAttractor(a, loc, al, a.index)
                        for al in alphas)
         assert len(out) == a.n_points, (

@@ -1,11 +1,11 @@
 """Numeric verification of the symbolic attractor report.
 
 Solves the critical-point system grad f = t * (a, b) once, at the largest
-t, by resultant elimination plus ``fields.poly_roots`` (multiprecision
-Durand–Kerner seeded from hardware floats) on the eliminant and on each
-back-substituted polynomial, takes the points in ``conj_key`` order, and
-carries each solution down the schedule by predictor-corrector
-continuation.
+t, by ``poly.common_zeros``, which gives exact residues of both
+coordinates mod each factor of a resultant, plus ``fields.poly_roots``
+(multiprecision Durand–Kerner seeded from hardware floats) on each
+factor, takes the points in ``conj_key`` order, and carries each solution
+down the schedule by predictor-corrector continuation.
 Each trajectory is classified as converging to an affine attractor or
 escaping to a direction at infinity (with its f-limit), and the cluster
 sizes are diffed against the symbolic indices.  Nothing here reuses
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import mpmath
 
 from .fields import RationalField, conj_key, poly_roots, rat
-from .poly import Poly, resultant, squarefree_part, substitute
+from .poly import Poly, common_zeros, substitute
 from .puiseux import INFINITE
 
 QQ = RationalField()
@@ -69,79 +69,38 @@ def critical_points(f, ell, t, precision=256):
         raise ValueError("a constant polynomial has no critical points")
     g1 = f.diff(0) - Poly.const(QQ, 2, rat(t) * rat(ell.a))
     g2 = f.diff(1) - Poly.const(QQ, 2, rat(t) * rat(ell.b))
-
-    # eliminate the variable giving the smaller resultant degree (tie: y)
-    r_elim_y = resultant(g1, g2, 1) if g1.degree_in(1) or g2.degree_in(1) else None
-    r_elim_x = resultant(g1, g2, 0) if g1.degree_in(0) or g2.degree_in(0) else None
-    cands = []
-    if r_elim_y is not None and not r_elim_y.is_zero():
-        cands.append(("y", r_elim_y))
-    if r_elim_x is not None and not r_elim_x.is_zero():
-        cands.append(("x", r_elim_x))
-    if not cands:
-        raise ValueError("degenerate critical system")
-    cands.sort(key=lambda kv: (kv[1].degree_in(0), kv[0] != "y"))
-    which, elim = cands[0]
-    if elim.is_constant():
-        return CriticalSet(())
-    elim = squarefree_part(elim)  # repeated eliminant roots stall the solver
-
+    zeros = common_zeros(g1, g2)[1]
     prec = precision
-    while True:
+    while prec <= MAX_PRECISION:
         with mpmath.workprec(prec):
-            tol = mpmath.mpf(10) ** (-(prec // 4))
-            try:
-                roots = poly_roots([_to_mpf(c) for c in elim.coeffs_in(0)],
-                                   200, prec)
-            except mpmath.libmp.NoConvergence:
-                roots = None
-            if roots is not None:
-                pts = _back_substitute(f, g1, g2, which, roots, tol)
-                if pts is not None:
-                    return CriticalSet(tuple(sorted(
-                        pts, key=lambda p: (conj_key(p[0]), conj_key(p[1])))))
+            pts = _solve(zeros, prec)
+            if pts is not None:
+                return CriticalSet(tuple(sorted(
+                    pts, key=lambda p: (conj_key(p[0]), conj_key(p[1])))))
         prec *= 2
-        if prec > MAX_PRECISION:
-            raise ArithmeticError("root finding failed at precision cap")
+    raise ArithmeticError("root finding failed at precision cap")
 
 
-def _back_substitute(f, g1, g2, which, roots, tol):
-    """Pair eliminant roots with the complementary coordinate; None when
-    the root finder fails to converge."""
+def _solve(zeros, prec):
+    """The points (x0(X), y0(X)) over the roots X of each g of the orbits
+    ``zeros`` at ``prec`` bits: a coordinate read off its own residue keeps
+    its relative precision however large X is.  Its error is about
+    2^-prec * deg(g) * sum |c_j| |X|^j; None when that exceeds 2^(-prec/2)
+    of the value, or the root finder does not converge."""
     pts = []
-    # coefficients of g1, g2 in the unsolved variable, as polys in the solved one
-    unsolved = 1 if which == "y" else 0
-    coeffs = [g.coeffs_in(unsolved) for g in (g1, g2)]
-    for r in roots:
-        # substitute the solved coordinate, get univariate polys in the other
-        uni = [substitute(tuple(cs), (r,), _to_mpf) for cs in coeffs]
-        # use the lowest-degree substituted polynomial that still depends
-        # on the unsolved variable (a vanishing one carries no constraint);
-        # a leading coefficient vanishes below tol times its own size at
-        # |r|, sum |c_j| |r|^j, so small roots keep their small coefficients
-        trimmed = []
-        for v, cs in zip(uni, coeffs):
-            v = list(v)
-            while len(v) > 1 and abs(v[-1]) <= tol * substitute(
-                    cs[len(v) - 1], (abs(r),), lambda c: abs(_to_mpf(c))):
-                v.pop()
-            if len(v) > 1:
-                trimmed.append(v)
-        if not trimmed:
-            continue
-        trimmed.sort(key=len)
+    for g, xr, yr, _m in zeros:
         try:
-            # badly scaled coefficients are common here; boost precision
-            yroots = poly_roots(trimmed[0], 200, mpmath.mp.prec)
+            roots = poly_roots([_to_mpf(c) for c in g.coeffs_in(0)], 200, prec)
         except mpmath.libmp.NoConvergence:
             return None
-        for yr in yroots:
-            x, y = (r, yr) if which == "y" else (yr, r)
-            res = max(abs(v) for v in substitute((g1, g2), (x, y), _to_mpf))
-            scale = max(1, abs(x), abs(y)) ** max(1, f.total_degree() - 1)
-            if res > tol * scale * 1e6:
-                continue
-            pts.append((x, y))
+        _, lift, eps, _ = _ring((QQ.zero(), QQ.one(), *xr.terms.values(),
+                                 *yr.terms.values()), _to_mpf, prec)
+        for X in roots:
+            p = substitute((xr, yr), (X,), lift)
+            sizes = substitute((xr, yr), (abs(X),), lambda c: abs(lift(c)))
+            if any(abs(v) < eps * s for v, s in zip(p, sizes)):
+                return None
+            pts.append(p)
     return pts
 
 

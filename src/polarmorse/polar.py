@@ -4,10 +4,12 @@ For f in two variables and a linear form ell = a*x + b*y, the polar
 curve is the closure of the locus where grad f is parallel to (a, b)
 away from Sing f: the squarefree part of a*f_y - b*f_x without the
 one-dimensional components of Sing f, the irreducible factors that
-divide both partials.  Genericity of ell is certified a posteriori
-rather than described symbolically: the raw polar must be squarefree,
-and the point of the line ell = 0 on the line at infinity must avoid the
-ends of both the polar curve and Sing f.
+divide both partials.  The isolated points of Sing f and the points of
+the polar curve on its components come from ``poly.common_zeros``.
+Genericity of ell is certified a posteriori rather than described
+symbolically: the raw polar must be squarefree, and the point of the
+line ell = 0 on the line at infinity must avoid the ends of both the
+polar curve and Sing f.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .fields import ExtensionField, RationalField, coerce, fresh_name, rat
-from .poly import (Poly, exact_div, factor_qq, factor_univariate, gcd_qq,
-                   gcd_univar, resultant, substitute)
+from .fields import (DEFAULT_TOWER_CAP, ExtensionField, RationalField,
+                     fresh_name, rat)
+from .poly import Poly, common_zeros, exact_div, factor_qq, gcd_qq
 
 QQ = RationalField()
 
@@ -119,14 +121,11 @@ def _raw_polar(f, ell):
     return fy.scale(rat(ell.a)) - fx.scale(rat(ell.b))
 
 
-def _root_class(px, base):
-    """Field and root element for one irreducible univariate factor."""
-    d = px.degree_in(0)
-    if d == 1:
-        c1 = px.terms[(1,)]
-        c0 = px.constant_term()
-        return base, base.neg(base.div(c0, c1))
-    ext = ExtensionField(base, fresh_name(base, "r"), px.coeffs_in(0))
+def _root_class(px):
+    """Field and root element for one irreducible univariate factor over Q."""
+    if px.degree_in(0) == 1:
+        return QQ, QQ.neg(QQ.div(px.constant_term(), px.terms[(1,)]))
+    ext = ExtensionField(QQ, fresh_name(QQ, "r"), px.coeffs_in(0))
     return ext, ext.gen()
 
 
@@ -172,7 +171,7 @@ def _top_form_roots(eq):
     if not tu.is_constant():
         _c, facs = factor_qq(tu)
         for fac, m in sorted(facs, key=lambda t: (t[0].degree_in(0), str(t[0]))):
-            fld, u0 = _root_class(fac, QQ)
+            fld, u0 = _root_class(fac)
             out.append(InfinityPointClass(fld, u0, m, fac.degree_in(0)))
     return out
 
@@ -183,62 +182,24 @@ def singular_locus(f):
         raise ValueError("singular locus of a constant polynomial")
     fx, fy = f.diff(0), f.diff(1)
     comp = gcd_qq(fx, fy)
-    components = []
-    if not comp.is_constant():
-        _c, cf = factor_qq(comp)
-        components = [fac for fac, _m in cf]
-        fx = exact_div(fx, comp)
-        fy = exact_div(fy, comp)
-    points = _common_zeros(fx, fy, exclude=comp if components else None)
-    return SingularLocus(tuple(points), tuple(components))
+    if comp.is_constant():
+        return SingularLocus(tuple(_common_zeros(fx, fy)), ())
+    points = _common_zeros(exact_div(fx, comp), exact_div(fy, comp), comp)
+    return SingularLocus(tuple(points),
+                         tuple(fac for fac, _m in factor_qq(comp)[1]))
 
 
 def _common_zeros(g1, g2, exclude=None):
-    """Finite common zero set of two coprime bivariate polynomials.
-
-    Points on the curve ``exclude`` = 0 are dropped (they sit on a
-    positive-dimensional component, not at an isolated point).
-    """
-    if g1.is_constant() or g2.is_constant():
-        if (g1.is_constant() and not g1.is_zero()) or \
-           (g2.is_constant() and not g2.is_zero()):
-            return []
-    d1, d2 = g1.degree_in(1), g2.degree_in(1)
-    if d1 > 0 and d2 > 0:
-        elim = resultant(g1, g2, 1)
-    else:
-        # one of them is a univariate in x
-        g = g1 if d1 == 0 else g2
-        elim = Poly(QQ, 1, {(e[0],): c for e, c in g.terms.items()})
-    if elim.is_zero():
-        raise ValueError("the two polynomials share a curve component")
-    if elim.is_constant():
-        return []
+    """The common zeros of two coprime bivariate polynomials, one
+    ``AffinePointClass`` per orbit of ``poly.common_zeros``, except those
+    on the curve ``exclude`` = 0 (on a component, not isolated)."""
     out = []
-    _c, facs = factor_qq(elim)
-    for px, _m in sorted(facs, key=lambda t: (t[0].degree_in(0), str(t[0]))):
-        kf, x0 = _root_class(px, QQ)
-        # g1(x0, y), g2(x0, y) as polynomials in y over kf
-        at_x0 = (Poly.const(kf, 1, x0), Poly.var(kf, 1, 0))
-        a1, a2 = (substitute(g, at_x0, lambda c: Poly.const(kf, 1, coerce(kf, QQ, c)))
-                  for g in (g1, g2))
-        if a1.is_zero() and a2.is_zero():
-            raise ValueError("vertical line inside the common zero set")
-        if a1.is_zero():
-            h = a2
-        elif a2.is_zero():
-            h = a1
-        else:
-            h = gcd_univar(a1, a2)
-        if h.is_constant():
-            continue
-        for ry, _mr in factor_univariate(h)[1]:
-            lf, y0 = _root_class(ry, kf)
-            x0l = coerce(lf, kf, x0)
-            if exclude is not None and \
-                    lf.is_zero(exclude.to_field(lf).eval((x0l, y0))):
-                continue
-            out.append(AffinePointClass(lf, x0l, y0, px.degree_in(0) * ry.degree_in(0)))
+    for g, xr, yr, _m in common_zeros(g1, g2, DEFAULT_TOWER_CAP)[1]:
+        K, _X = _root_class(g)
+        x, y = (r.constant_term() if K is QQ else K.from_vec(r.coeffs_in(0))
+                for r in (xr, yr))
+        if exclude is None or not K.is_zero(exclude.to_field(K).eval((x, y))):
+            out.append(AffinePointClass(K, x, y, g.degree_in(0)))
     return out
 
 

@@ -2,14 +2,14 @@
 
 The main pipeline works with polynomials in at most 3 variables whose
 coefficients live in a field from :mod:`polarmorse.fields`.  Heavy
-classical algorithms over Q (factorization, squarefree part, gcd, exact
-division, resultants) are delegated to sympy ``Poly`` methods over
-``QQ``; the one bridge, ``to_sympy`` / ``from_sympy``, passes exponent
-dicts both ways and builds no sympy expressions.  Everything that must run over an
-extension tower (univariate gcd, bivariate resultant by
-evaluation/interpolation, Trager norm factorization) is implemented here
-directly.  Relative minimal polynomials come from linear algebra on the
-powers of an element, over any field of the tower.
+classical algorithms over Q (factorization, gcd, exact division,
+resultants and subresultant sequences) are sympy ``Poly`` methods; the
+one bridge, ``to_sympy`` / ``from_sympy``, passes exponent dicts both
+ways and builds no sympy expressions.  ``common_zeros`` finds the common
+zeros of two plane curves by one elimination.  Over an extension tower,
+univariate gcd, resultants by evaluation/interpolation and Trager norm
+factorization are implemented here, and relative minimal polynomials
+come from linear algebra on the powers of an element.
 """
 
 from __future__ import annotations
@@ -17,18 +17,24 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field as dc_field
+from math import comb
 
 import sympy
 
 from .fields import (
     QQ,
     ExtensionField,
+    ExtensionTooLarge,
     RationalField,
     coerce,
     rat,
+    uadd,
     udivmod,
     ugcd,
+    ugcdext,
     umul,
+    uscale,
+    usub,
     utrim,
 )
 
@@ -524,15 +530,6 @@ def exact_div(p, q):
     return Poly.from_coeffs(f, quo)
 
 
-def squarefree_part(p):
-    """Product of the distinct irreducible factors of p over Q
-    (unit-normalized)."""
-    out = Poly.const(QQ, p.arity, rat(1))
-    for fac, _m in factor_qq(p)[1]:
-        out = out * fac
-    return out
-
-
 def factor_qq(p):
     """Irreducible factorization over Q, any arity.
 
@@ -690,8 +687,10 @@ def _sylvester_entries(pc, qc):
     return rows
 
 
-def resultant(p, q, var):
-    """Sylvester resultant of bivariate p and q eliminating variable ``var``."""
+def resultant(p, q, var, sequence=False):
+    """Sylvester resultant of bivariate p and q eliminating variable ``var``;
+    with ``sequence``, over Q and of positive degrees, also their
+    subresultant sequence (from p and q down, up to rational factors)."""
     if p.arity != 2 or q.arity != 2:
         raise ValueError("resultant needs bivariate inputs")
     f = p.field
@@ -705,13 +704,18 @@ def resultant(p, q, var):
         const, d = (p, dq) if dp < 1 else (q, dp)
         return const.coeffs_in(var)[0] ** d
     if isinstance(f, RationalField):
-        # sympy's PRS resultant computes Res(q, p) when dp < dq, so it gets
-        # the operand of higher degree first; Res(p, q) = (-1)^(dp*dq) Res(q, p)
+        # sympy's PRS, on P = cp*p and Q = cq*q over ZZ where it is cheaper
+        # than over QQ: Res(p, q) = Res(P, Q) / (cp^dq * cq^dp).  It gets
+        # the operand of higher degree first: Res(P, Q) = (-1)^(dp*dq) Res(Q, P)
         order = (_SYM_VARS[var], _SYM_VARS[1 - var])
-        sp, sq = (to_sympy(g).reorder(*order) for g in (p, q))
-        if dp >= dq:
-            return from_sympy(sp.resultant(sq))
-        return from_sympy(sq.resultant(sp)).scale(rat((-1) ** (dp * dq)))
+        (cp, sp), (cq, sq) = (to_sympy(g).reorder(*order).clear_denoms(
+            convert=True) for g in (p, q))
+        a, b, sign = (sp, sq, 1) if dp >= dq else (sq, sp, (-1) ** (dp * dq))
+        res, seq = a.resultant(b, includePRS=True)
+        res = from_sympy(res).scale(rat(sign, int(cp) ** dq * int(cq) ** dp))
+        if sequence:
+            return res, [from_sympy(s.reorder(*_SYM_VARS[:2])) for s in seq]
+        return res
     rows = _sylvester_entries(p.coeffs_in(var), q.coeffs_in(var))
     # evaluation / interpolation in the remaining variable
     bound = dp * q.degree_in(1 - var) + dq * p.degree_in(1 - var)
@@ -741,6 +745,77 @@ def _lagrange(field, xs, ys):
         for k, b in enumerate(basis):
             coeffs[k] = field.add(coeffs[k], field.mul(b, c))
     return Poly.from_coeffs(field, utrim(field, coeffs))
+
+
+# ---------------------------------------------------------------------------
+# common zeros of two plane curves
+
+
+def common_zeros(g1, g2, cap=None):
+    """The common zeros of bivariate g1, g2 over Q that share no curve, by
+    one elimination (González-Vega & El Kahoui, J. Complexity 12, 1996):
+    (c, [(g, x0, y0, m), ...]).  Each g is an irreducible factor over Q of
+    R = Res_y(g1(x + c*y, y), g2(x + c*y, y)); exactly one zero
+    (x0(X), y0(X)) lies over each root X of g, with x0, y0 residues mod g,
+    and m, the exponent of g in R, is its intersection number.  The shear
+    c is the first of 0, 1, -1, 2, ... that ``_sheared_zeros`` certifies
+    (fewer than ``bound`` are bad).  A factor of degree above ``cap``
+    raises ExtensionTooLarge."""
+    if any(g.is_constant() and not g.is_zero() for g in (g1, g2)):
+        return 0, []
+    if g1.is_zero() or g2.is_zero():
+        raise ValueError("the two polynomials share a curve component")
+    n1, n2 = g1.total_degree(), g2.total_degree()
+    bound = n1 + n2 + (n1 * n2) ** 2 // 2
+    for i in range(bound + 1):
+        c = (i + 1) // 2 * (1 if i % 2 else -1)
+        zeros = _sheared_zeros(g1, g2, c, cap)
+        if zeros is not None:
+            return c, zeros
+    raise ArithmeticError("no shear among %d values certifies the common "
+                          "zeros" % (bound + 1))
+
+
+def _sheared_zeros(g1, g2, c, cap):
+    """The zeros of ``common_zeros`` at the shear c, or None when its
+    certificate fails: the leading coefficients in y of h1 = g1(x + c*y, y)
+    and h2 are constant, and for each factor g of their resultant the
+    first member P of their subresultant sequence, from the low end, that
+    is nonzero mod g has a leading coefficient lc that is a unit mod g,
+    and P = lc*(y - y0)^k mod g with y0 = -p_(k-1)/(k*lc)."""
+    x, y = Poly.var(QQ, 2, 0), Poly.var(QQ, 2, 1)
+    hs = [g.compose([x + y.scale(rat(c)), y]) if c else g for g in (g1, g2)]
+    if any(h.degree_in(1) < 1 or not h.coeffs_in(1)[-1].is_constant()
+           for h in hs):
+        return None
+    res, seq = resultant(*hs, 1, sequence=True)
+    if res.is_zero():
+        raise ValueError("the two polynomials share a curve component")
+    facs = factor_qq(res)[1]
+    top = max((g.degree_in(0) for g, _m in facs), default=0)
+    if cap is not None and top > cap:
+        raise ExtensionTooLarge("tower degree %d exceeds cap %d" % (top, cap))
+    out = []
+    for g, m in facs:
+        gc = g.coeffs_in(0)
+        for P in reversed(seq[:-1]):    # coefficients in y mod g, high first
+            coeffs = [udivmod(QQ, cf.coeffs_in(0), gc)[1]
+                      for cf in reversed(P.coeffs_in(1))]
+            if any(coeffs):
+                break
+        lc, k = coeffs[0], len(coeffs) - 1
+        unit, inv, _ = ugcdext(QQ, lc, gc)
+        if unit != [1]:
+            return None
+        y0 = udivmod(QQ, umul(QQ, coeffs[1], uscale(QQ, inv, rat(-1, k))), gc)[1]
+        power = lc                      # lc*(-y0)^j, against p_(k-j)
+        for j, cf in enumerate(coeffs[1:], 1):
+            power = udivmod(QQ, umul(QQ, power, uscale(QQ, y0, rat(-1))), gc)[1]
+            if usub(QQ, cf, uscale(QQ, power, rat(comb(k, j)))):
+                return None
+        x0 = udivmod(QQ, uadd(QQ, [rat(0), rat(1)], uscale(QQ, y0, rat(c))), gc)[1]
+        out.append((g, Poly.from_coeffs(QQ, x0), Poly.from_coeffs(QQ, y0), m))
+    return out
 
 
 # ---------------------------------------------------------------------------

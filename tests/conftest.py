@@ -4,8 +4,8 @@
 import mpmath
 import pytest
 
-from polarmorse.fields import rat
-from polarmorse.poly import exact_div, parse_poly
+from polarmorse.fields import QQ, rat
+from polarmorse.poly import Poly, exact_div, factor_qq, parse_poly
 from polarmorse.polar import LinearForm
 from polarmorse.series import LaurentSeries, poly_at_series
 
@@ -41,6 +41,15 @@ def divides(q, p):
     except ArithmeticError:
         return False
     return True
+
+
+def squarefree_part(p):
+    """Product of the distinct irreducible factors of p over Q
+    (unit-normalized)."""
+    out = Poly.const(QQ, p.arity, rat(1))
+    for fac, _m in factor_qq(p)[1]:
+        out = out * fac
+    return out
 
 
 def count_polyval(monkeypatch):

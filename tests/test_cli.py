@@ -99,6 +99,14 @@ def test_custom_schedule(capsys):
     assert "matched=True" in out
 
 
+def test_tiny_schedule_matches(capsys):
+    # the start solve keeps the points x = +-sqrt(t) below t = 1e-154
+    code, out, _ = run_cli(capsys, "--f", "x + x^2*y", "--ell", "x + y",
+                           "--verify", "--t-schedule", "1e-154,1e-155,1e-156")
+    assert code == cli.EXIT_OK
+    assert "matched=True" in out
+
+
 def test_short_schedule_rejected(capsys):
     code, _, err = run_cli(capsys, "--f", "x + x^2*y", "--verify",
                            "--t-schedule", "1e-2,1e-3")

@@ -32,18 +32,18 @@ def test_critical_points_closed_form(cubic_tail, ell_xy):
             assert abs(1 + 2 * x * y - mpmath.mpf(1) / 10000) < 1e-30
 
 
-@pytest.mark.parametrize("k", [130, 150])
+@pytest.mark.parametrize("k", [130, 150, 154, 160, 300])
 def test_critical_points_at_small_t(cubic_tail, ell_xy, k):
-    # at x = +-sqrt(t) the coefficient 2x of y in 1 + 2xy - t is far below
-    # the absolute tolerance 1e-64 of 256 bits, yet not below its own size
+    # x = +-sqrt(t) is read off its own residue mod the eliminant's factor,
+    # not computed as X + c*y from the sheared coordinate X ~ 1/sqrt(t),
+    # which cancels to 0 below about t = 1e-154 at 256 bits
     t = rat(1, 10**k)
     cs = critical_points(cubic_tail, ell_xy, t)
     assert len(cs.points) == 2
     with mpmath.workprec(256):
+        root = mpmath.sqrt(_to_mpf(t))
         xs = sorted(p[0].real for p in cs.points)
-        assert xs[0] < 0 < xs[1]
-        for x in xs:
-            assert x * x / _to_mpf(t) == pytest.approx(1, rel=1e-3)
+        assert abs(xs[0] / root + 1) < 1e-30 and abs(xs[1] / root - 1) < 1e-30
 
 
 def test_critical_points_quadratic(ell_xy):
@@ -407,16 +407,45 @@ def test_no_double_stage_below_float_range(ell_xy, monkeypatch):
 
 
 @pytest.mark.parametrize("precision, code, line", [
-    (32, cli.EXIT_MISMATCH, "  mismatch: trajectory tracking failed"),
+    (4, cli.EXIT_MISMATCH, "  mismatch: trajectory tracking failed"),
+    (32, cli.EXIT_OK, "verification: matched=True schedule=1/100,1/1000,"
+                      "1/10000,1/100000"),
     (53, cli.EXIT_OK, "verification: matched=True schedule=1/100,1/1000,"
                       "1/10000,1/100000")])
 def test_low_precision_tracking(precision, code, line, capsys):
-    # the double stage carries more bits than a 32-bit working precision
-    # but must not make such a run pass: every step still ends with the
-    # working-precision corrector
+    # the double stage carries more bits than a 4-bit working precision
+    # but does not make such a run pass; at 32 bits the start points,
+    # exact up to root finding, carry the run
     assert cli.main(["--f", "x*y + 1/3*x^3*y^2", "--ell", "x + y", "--verify",
                      "--precision", str(precision)]) == code
     assert line in capsys.readouterr().out.splitlines()
+
+
+def test_steps_end_at_working_precision(quintic_node, ell_xy, monkeypatch):
+    # every accepted step of a 32-bit run ends in a Newton at 32 bits
+    newton, carry = oracle._newton, oracle._carry
+    corrected, accepted = [], []
+
+    def recorded_newton(polys, ring, p, target):
+        q = newton(polys, ring, p, target)
+        if ring[0] is not float and q is not None:
+            assert mpmath.mp.prec == 32
+            corrected.append(q)
+        return q
+
+    def recorded_carry(*args):
+        q = carry(*args)
+        if q is not None:
+            accepted.append(q)
+        return q
+
+    monkeypatch.setattr(oracle, "_newton", recorded_newton)
+    monkeypatch.setattr(oracle, "_carry", recorded_carry)
+    rep = analyze_symbolic(quintic_node, ell=ell_xy)
+    v = classify_trajectories(quintic_node, ell_xy, DEFAULT_SCHEDULE, rep,
+                              precision=32)
+    assert v.matched, v.mismatches
+    assert accepted and all(any(q is c for c in corrected) for q in accepted)
 
 
 def test_coefficients_converted_once(sextic_eight, ell_xy, monkeypatch):

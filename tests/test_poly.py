@@ -1,13 +1,16 @@
 import mpmath
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import divides
-from polarmorse.fields import ExtensionField, RationalField, rat
-from polarmorse.poly import (Poly, PolyParseError, exact_div, factor_qq,
+from conftest import divides, squarefree_part
+from polarmorse.fields import (ExtensionField, ExtensionTooLarge, RationalField,
+                               rat)
+from polarmorse.poly import (Poly, PolyParseError, common_zeros, exact_div,
+                             factor_qq,
                              factor_univariate, from_sympy, gcd_qq,
                              gcd_univar, minpoly_over, parse_poly, poly_str,
-                             resultant, squarefree_part, substitute, to_sympy)
+                             resultant, substitute, to_sympy)
 from polarmorse.oracle import _to_mpf
 from polarmorse.series import LaurentSeries, poly_at_series
 
@@ -252,3 +255,100 @@ def test_shared_power_table_is_exact(p, q, r, pt):
         args = tuple(mpmath.mpc(_to_mpf(re), _to_mpf(im)) for re, im in pt)
         together = substitute((p, q, r), args, _to_mpf)
         assert together == tuple(substitute(s, args, _to_mpf) for s in (p, q, r))
+
+
+def quotient_dimension(g1, g2):
+    """dim_Q Q[x, y]/(g1, g2): the number of standard monomials of a
+    grevlex Groebner basis, or None when that number is infinite."""
+    gens = sympy.symbols("v0 v1")
+    basis = sympy.groebner([to_sympy(g1), to_sympy(g2)], *gens, order="grevlex")
+    leads = [sympy.Poly(b, *gens).monoms(order="grevlex")[0] for b in basis.exprs]
+    pure_x = [a for a, b in leads if b == 0]
+    pure_y = [b for a, b in leads if a == 0]
+    if not pure_x or not pure_y:
+        return None
+    return sum(1 for i in range(min(pure_x)) for j in range(min(pure_y))
+               if not any(i >= a and j >= b for a, b in leads))
+
+
+def check_common_zeros(g1, g2):
+    """The orbits of ``common_zeros`` are common zeros, and their
+    multiplicities sum to the dimension of the quotient; returns the
+    shear and the orbits."""
+    c, zeros = common_zeros(g1, g2)
+    for g, xr, yr, m in zeros:
+        assert m >= 1 and max(xr.degree_in(0), yr.degree_in(0)) < g.degree_in(0)
+        for h in (g1, g2):
+            assert divides(g, h.compose([xr, yr]))
+    total = sum(m * g.degree_in(0) for g, _x, _y, m in zeros)
+    assert total == quotient_dimension(g1, g2)
+    return c, zeros
+
+
+def coprime_pair(g1, g2):
+    return (not g1.is_constant() and not g2.is_constant()
+            and gcd_qq(g1, g2).is_constant())
+
+
+@given(small_polys(max_deg=2), small_polys(max_deg=2))
+@settings(max_examples=40, deadline=None)
+def test_common_zeros_multiplicities(g1, g2):
+    assume(coprime_pair(g1, g2))
+    check_common_zeros(g1, g2)
+
+
+@given(small_polys(arity=1, max_deg=3), small_polys(max_deg=2))
+@settings(max_examples=30, deadline=None)
+def test_common_zeros_shear_univariate(p, g2):
+    # a polynomial in x alone has no constant leading coefficient in y
+    g1 = Poly(QQ, 2, {(e[0], 0): c for e, c in p.terms.items()})
+    assume(coprime_pair(g1, g2))
+    c, zeros = check_common_zeros(g1, g2)
+    assert c != 0 or not zeros
+
+
+def test_common_zeros_shear_vertical_line():
+    # (+-1, +-sqrt 2): two points over each of x = 1 and x = -1
+    g1, g2 = parse_poly("y^2 - 2", V), parse_poly("x^2 + y^2 - 3", V)
+    c, zeros = check_common_zeros(g1, g2)
+    assert c != 0 and sum(g.degree_in(0) for g, *_ in zeros) == 4
+
+
+def singular_polys(max_deg=3):
+    """Polynomials singular at the origin: every term of degree >= 2."""
+    coeff = st.integers(-5, 5).filter(bool).map(rat)
+    exps = st.tuples(*[st.integers(0, max_deg)] * 2).filter(
+        lambda e: sum(e) >= 2)
+    return st.dictionaries(exps, coeff, min_size=2, max_size=5).map(
+        lambda d: Poly(QQ, 2, d))
+
+
+@given(singular_polys(), singular_polys())
+@settings(max_examples=30, deadline=None)
+def test_common_zeros_both_singular(g1, g2):
+    # both curves singular at the origin: the subresultant that reads y0
+    # there has degree k > 1 in y, and the origin counts at least 2*2
+    assume(coprime_pair(g1, g2))
+    _c, zeros = check_common_zeros(g1, g2)
+    origin = [m for g, xr, yr, m in zeros
+              if g.degree_in(0) == 1 and xr.is_zero() and yr.is_zero()]
+    assert origin and origin[0] >= 4
+
+
+def test_common_zeros_milnor_sixteen():
+    # the partials of -3/2*x^5 - x^2*y^3 - y^5 are both singular at the
+    # origin, where they meet with multiplicity 16
+    f = parse_poly("-3/2*x^5 - x^2*y^3 - y^5", V)
+    _c, zeros = check_common_zeros(f.diff(0), f.diff(1))
+    assert [m for g, xr, yr, m in zeros if xr.is_zero() and yr.is_zero()] == [16]
+
+
+def test_common_zeros_cap():
+    # the points (0, +-sqrt 2) form one orbit of two
+    g1, g2 = parse_poly("y^2 - 2", V), parse_poly("x", V)
+    assert [g.degree_in(0) for g, *_ in common_zeros(g1, g2)[1]] == [2]
+    with pytest.raises(ExtensionTooLarge):
+        common_zeros(g1, g2, cap=1)
+    assert common_zeros(g1, parse_poly("3", V)) == (0, [])
+    with pytest.raises(ValueError):
+        common_zeros(g1, g1 * parse_poly("x", V))

@@ -3,9 +3,9 @@ import random
 import mpmath
 import pytest
 
-from conftest import branch_residual, count_vanishing_solutions
+from conftest import branch_residual, count_vanishing_solutions, squarefree_part
 from polarmorse.fields import RationalField, rat
-from polarmorse.poly import Poly, factor_qq, parse_poly, resultant, squarefree_part
+from polarmorse.poly import Poly, factor_qq, parse_poly, resultant
 from polarmorse.polar import _root_class
 from polarmorse.puiseux import expand_branches, series_order_after_limit, INFINITE
 from polarmorse.series import poly_at_series
@@ -119,7 +119,7 @@ def _fiber_contact_total(G, x0=rat(0)):
     for fac, _m in facs:
         if fac.degree_in(0) == 0:
             continue
-        fld, y0 = _root_class(fac, QQ)
+        fld, y0 = _root_class(fac)
         brs = expand_branches(G.to_field(fld).translate((fld.zero(), y0)),
                               target_order=2 * G.total_degree() + 6)
         for b in brs:

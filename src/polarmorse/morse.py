@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .fields import RationalField, coerce, conj_key, on_grid, rat
+from .fields import coerce, conj_key, on_grid
 from .poly import Poly, minpoly_over
 from .polar import (GenericityError, LinearForm, _common_zeros,
                     check_genericity, draw_generic_ell, polar_equation,
@@ -33,8 +33,6 @@ from .polar import (GenericityError, LinearForm, _common_zeros,
 from .puiseux import (DegenerateComposition, INFINITE, expand_branches,
                       poly_at_series, series_order_after_limit)
 from .series import LaurentSeries, SeriesPrecisionLoss
-
-QQ = RationalField()
 
 
 @dataclass(frozen=True)
@@ -178,12 +176,7 @@ def _chart_polys(f, ell, polar, chart):
     drop = 1 if chart == "y" else 0
     G = polar.equation.homogenize().dehomogenize(drop)
     fbar = f.homogenize().dehomogenize(drop)
-    a, b = rat(ell.a), rat(ell.b)
-    u = Poly.var(QQ, 2, 0)
-    if chart == "y":
-        ellbar = u.scale(a) + Poly.const(QQ, 2, b)
-    else:
-        ellbar = u.scale(b) + Poly.const(QQ, 2, a)
+    ellbar = ell.poly().homogenize().dehomogenize(drop)
     return G, fbar, ellbar
 
 

@@ -26,11 +26,9 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .fields import RationalField, conj_key, poly_roots, rat
+from .fields import QQ, conj_key, poly_roots, rat
 from .poly import Poly, common_zeros, substitute
 from .puiseux import INFINITE
-
-QQ = RationalField()
 
 DEFAULT_SCHEDULE = (rat(1, 100), rat(1, 1000), rat(1, 10000), rat(1, 100000))
 MAX_PRECISION = 4096

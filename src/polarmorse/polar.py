@@ -17,11 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .fields import (DEFAULT_TOWER_CAP, ExtensionField, RationalField,
-                     fresh_name, rat)
+from .fields import DEFAULT_TOWER_CAP, QQ, ExtensionField, fresh_name, rat
 from .poly import Poly, common_zeros, exact_div, factor_qq, gcd_qq
-
-QQ = RationalField()
 
 
 class GenericityError(Exception):

@@ -5,11 +5,12 @@ coefficients live in a field from :mod:`polarmorse.fields`.  Heavy
 classical algorithms over Q (factorization, gcd, exact division,
 resultants and subresultant sequences) are sympy ``Poly`` methods; the
 one bridge, ``to_sympy`` / ``from_sympy``, passes exponent dicts both
-ways and builds no sympy expressions.  ``common_zeros`` finds the common
-zeros of two plane curves by one elimination.  Over an extension tower,
-univariate gcd, resultants by evaluation/interpolation and Trager norm
-factorization are implemented here, and relative minimal polynomials
-come from linear algebra on the powers of an element.
+ways and builds no sympy expressions.  Resultants are over Q only.
+``common_zeros`` finds the common zeros of two plane curves by one
+elimination.  Over an extension tower, univariate gcd and Trager norm
+factorization are implemented here.  Relative minimal polynomials and
+Trager's norm are both the first linear dependence among the powers of
+an element, over the base field.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import sympy
 
 from .fields import (
     QQ,
-    ExtensionField,
     ExtensionTooLarge,
     RationalField,
     coerce,
@@ -35,7 +35,6 @@ from .fields import (
     umul,
     uscale,
     usub,
-    utrim,
 )
 
 DEFAULT_VARS = ("x", "y", "z")
@@ -266,18 +265,11 @@ class Poly:
         return [Poly(f, self.arity - 1, t) for t in out]
 
     @staticmethod
-    def from_coeffs(field, coeffs, arity=1, i=0):
-        """Inverse of coeffs_in for arity-1 coefficient entries."""
-        terms = {}
-        for k, c in enumerate(coeffs):
-            if isinstance(c, Poly):
-                for e, v in c.terms.items():
-                    terms[e[:i] + (k,) + e[i:]] = v
-            elif not field.is_zero(c):
-                key = [0] * arity
-                key[i] = k
-                terms[tuple(key)] = c
-        return Poly(field, arity, terms)
+    def from_coeffs(field, coeffs):
+        """Univariate Poly from a coefficient list (low-to-high), the
+        inverse of coeffs_in for arity 1."""
+        return Poly(field, 1, {(k,): c for k, c in enumerate(coeffs)
+                               if not field.is_zero(c)})
 
     # -- printing ---------------------------------------------------------
     def __str__(self):
@@ -591,34 +583,36 @@ def _squarefree_decomposition(p):
     return out
 
 
-def _ext_to_bivar(p):
-    """Univariate p over K = base(g) as a bivariate over base in (t, y),
-    with t standing for the generator."""
-    K = p.field
-    base = K.base
-    terms = {}
-    for (k,), c in p.terms.items():
-        for j, cj in enumerate(c):
-            if not base.is_zero(cj):
-                terms[(j, k)] = cj
-    return Poly(base, 2, terms)
-
-
 def _trager_factor_squarefree(p):
-    """Irreducible monic factors of squarefree monic p over an ExtensionField."""
+    """Irreducible monic factors of squarefree monic p over an ExtensionField
+    K (Trager, SYMSAC 1976).  The norm over K.base of p(y + lam*theta) is
+    the characteristic polynomial of eta = Y - lam*theta on K[Y]/(p);
+    since p is squarefree, the first linear dependence over K.base among
+    the powers of eta has degree deg p * [K:base] exactly when that norm
+    is squarefree, and then it is the norm."""
     K = p.field
     base = K.base
-    if p.degree_in(0) == 1:
+    n = p.degree_in(0)
+    if n == 1:
         return [p]
-    minpoly_t = Poly.from_coeffs(base, list(K.minpoly), arity=2, i=0)
+    pc = p.coeffs_in(0)
     theta = K.gen()
+    zero = K.zero()
+
+    def mulmod(a, b):
+        return udivmod(K, umul(K, a, b), pc)[1]
+
+    def coords(a):
+        return [v for c in a + [zero] * (n - len(a))
+                for v in _flatten(K, base, c)]
+
     for lam in itertools.count(0):
-        lam_e = K.from_rat(rat(lam))
-        shifted = _shift_by(p, K.mul(lam_e, theta))  # p(y + lam*theta)
-        bivar = _ext_to_bivar(shifted)
-        norm = resultant(bivar, minpoly_t, 0)  # eliminate t -> poly in y over base
-        if norm.degree_in(0) == p.degree_in(0) * K.degree and \
-                gcd_univar(norm, norm.diff(0)).degree_in(0) == 0:
+        shift = K.neg(K.mul(K.from_rat(rat(lam)), theta))     # -lam*theta
+        eta = [shift, K.one()]
+        powers = itertools.accumulate(itertools.repeat(eta), mulmod,
+                                      initial=[K.one()])
+        norm = _first_dependence(base, map(coords, powers))
+        if norm.degree_in(0) == n * K.degree:
             break
         if lam > 40:
             raise ArithmeticError("no squarefree norm found (input not squarefree?)")
@@ -626,8 +620,7 @@ def _trager_factor_squarefree(p):
     out = []
     for nf, m in nfacs:
         assert m == 1
-        nf_k = nf.to_field(K)
-        cand = _shift_by(nf_k, K.neg(K.mul(lam_e, theta)))  # N_i(y - lam*theta)
+        cand = nf.to_field(K).translate((shift,))     # N_i(y - lam*theta)
         g = gcd_univar(p, cand)
         if g.degree_in(0) > 0:
             out.append(g)
@@ -635,116 +628,39 @@ def _trager_factor_squarefree(p):
     return out
 
 
-def _shift_by(p, c):
-    """p(y + c) for univariate p."""
-    f = p.field
-    shift = Poly.var(f, 1, 0) + Poly.const(f, 1, c)
-    return p.compose([shift])
-
-
 # ---------------------------------------------------------------------------
-# determinants and resultants
-
-
-def det(field, rows):
-    """Determinant of a square matrix of field elements (Gaussian elimination)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    detval = field.one()
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not field.is_zero(m[r][col])), None)
-        if piv is None:
-            return field.zero()
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            detval = field.neg(detval)
-        detval = field.mul(detval, m[col][col])
-        inv = field.inv(m[col][col])
-        for r in range(col + 1, n):
-            if field.is_zero(m[r][col]):
-                continue
-            factor = field.mul(m[r][col], inv)
-            for c in range(col, n):
-                m[r][c] = field.sub(m[r][c], field.mul(factor, m[col][c]))
-    return detval
-
-
-def _sylvester_entries(pc, qc):
-    """Sylvester matrix rows built from coefficient lists (low-to-high)."""
-    m, n = len(pc) - 1, len(qc) - 1
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [None] * size
-        for j, c in enumerate(reversed(pc)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [None] * size
-        for j, c in enumerate(reversed(qc)):
-            row[i + j] = c
-        rows.append(row)
-    return rows
+# resultants over Q
 
 
 def resultant(p, q, var, sequence=False):
-    """Sylvester resultant of bivariate p and q eliminating variable ``var``;
-    with ``sequence``, over Q and of positive degrees, also their
+    """Sylvester resultant of bivariate p and q over Q eliminating variable
+    ``var``; with ``sequence``, and of positive degrees, also their
     subresultant sequence (from p and q down, up to rational factors)."""
     if p.arity != 2 or q.arity != 2:
         raise ValueError("resultant needs bivariate inputs")
-    f = p.field
+    if p.field is not QQ or q.field is not QQ:
+        raise ValueError("resultant needs rational coefficients")
     dp, dq = p.degree_in(var), q.degree_in(var)
     if dp < 1 and dq < 1:
         raise ValueError("both inputs are constant in the eliminated variable")
     if p.is_zero() or q.is_zero():
-        return Poly.zero(f, 1)
+        return Poly.zero(QQ, 1)
     if dp < 1 or dq < 1:
         # resultant with a constant-in-var polynomial: c^deg(other)
         const, d = (p, dq) if dp < 1 else (q, dp)
         return const.coeffs_in(var)[0] ** d
-    if isinstance(f, RationalField):
-        # sympy's PRS, on P = cp*p and Q = cq*q over ZZ where it is cheaper
-        # than over QQ: Res(p, q) = Res(P, Q) / (cp^dq * cq^dp).  It gets
-        # the operand of higher degree first: Res(P, Q) = (-1)^(dp*dq) Res(Q, P)
-        order = (_SYM_VARS[var], _SYM_VARS[1 - var])
-        (cp, sp), (cq, sq) = (to_sympy(g).reorder(*order).clear_denoms(
-            convert=True) for g in (p, q))
-        a, b, sign = (sp, sq, 1) if dp >= dq else (sq, sp, (-1) ** (dp * dq))
-        res, seq = a.resultant(b, includePRS=True)
-        res = from_sympy(res).scale(rat(sign, int(cp) ** dq * int(cq) ** dp))
-        if sequence:
-            return res, [from_sympy(s.reorder(*_SYM_VARS[:2])) for s in seq]
-        return res
-    rows = _sylvester_entries(p.coeffs_in(var), q.coeffs_in(var))
-    # evaluation / interpolation in the remaining variable
-    bound = dp * q.degree_in(1 - var) + dq * p.degree_in(1 - var)
-    xs = [f.from_rat(rat(k)) for k in range(bound + 1)]
-    ys = []
-    zero = f.zero()
-    for x in xs:
-        ev = [[zero if e is None else e.eval([x]) for e in row] for row in rows]
-        ys.append(det(f, ev))
-    return _lagrange(f, xs, ys)
-
-
-def _lagrange(field, xs, ys):
-    """Interpolating univariate Poly through (xs, ys)."""
-    n = len(xs)
-    coeffs = [field.zero()] * n
-    for i in range(n):
-        # basis polynomial prod_{j!=i} (X - x_j) / (x_i - x_j)
-        basis = [field.one()]
-        denom = field.one()
-        for j in range(n):
-            if j == i:
-                continue
-            basis = umul(field, basis, [field.neg(xs[j]), field.one()])
-            denom = field.mul(denom, field.sub(xs[i], xs[j]))
-        c = field.div(ys[i], denom)
-        for k, b in enumerate(basis):
-            coeffs[k] = field.add(coeffs[k], field.mul(b, c))
-    return Poly.from_coeffs(field, utrim(field, coeffs))
+    # sympy's PRS, on P = cp*p and Q = cq*q over ZZ where it is cheaper
+    # than over QQ: Res(p, q) = Res(P, Q) / (cp^dq * cq^dp).  It gets
+    # the operand of higher degree first: Res(P, Q) = (-1)^(dp*dq) Res(Q, P)
+    order = (_SYM_VARS[var], _SYM_VARS[1 - var])
+    (cp, sp), (cq, sq) = (to_sympy(g).reorder(*order).clear_denoms(
+        convert=True) for g in (p, q))
+    a, b, sign = (sp, sq, 1) if dp >= dq else (sq, sp, (-1) ** (dp * dq))
+    res, seq = a.resultant(b, includePRS=True)
+    res = from_sympy(res).scale(rat(sign, int(cp) ** dq * int(cq) ** dp))
+    if sequence:
+        return res, [from_sympy(s.reorder(*_SYM_VARS[:2])) for s in seq]
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -832,21 +748,17 @@ def _flatten(field, subfield, x):
     return out
 
 
-def minpoly_over(field, elem, subfield):
-    """Monic minimal polynomial of ``elem`` (in ``field``) over ``subfield``.
-
-    It is the first linear dependence over ``subfield`` among 1, elem,
-    elem^2, ... (Cohen, *A Course in Computational Algebraic Number
-    Theory*).  Each power's coordinates are reduced against the echelon
-    rows of the earlier ones, carrying along the combination of powers
-    that produced them; the first power that reduces to zero gives the
-    polynomial.
+def _first_dependence(sub, vectors):
+    """Monic sum of c_k*T^k over the first linear dependence
+    sum c_k*v_k = 0, c_k in ``sub``, among the coordinate lists v_0, v_1,
+    ..., all of one length, that the endless iterable ``vectors`` yields
+    (Cohen, *A Course in Computational Algebraic Number Theory*, 1993).
+    Each vector is reduced against the echelon rows of the earlier ones,
+    carrying along the combination of vectors that produced it; the first
+    that reduces to zero gives the polynomial.
     """
-    sub = subfield
     rows = []  # (pivot, reduced coordinates with 1 at pivot, combination)
-    power = field.one()
-    for k in itertools.count():
-        vec = _flatten(field, sub, power)
+    for k, vec in enumerate(vectors):
         comb = [sub.zero()] * k + [sub.one()]
         for piv, row, rcomb in rows:
             c = vec[piv]
@@ -861,4 +773,13 @@ def minpoly_over(field, elem, subfield):
         inv = sub.inv(vec[piv])
         rows.append((piv, [sub.mul(v, inv) for v in vec],
                      [sub.mul(v, inv) for v in comb]))
-        power = field.mul(power, elem)
+
+
+def minpoly_over(field, elem, subfield):
+    """Monic minimal polynomial of ``elem`` (in ``field``) over ``subfield``:
+    the first linear dependence over ``subfield`` among 1, elem, elem^2, ...
+    """
+    powers = itertools.accumulate(itertools.repeat(elem), field.mul,
+                                  initial=field.one())
+    return _first_dependence(subfield, (_flatten(field, subfield, x)
+                                        for x in powers))

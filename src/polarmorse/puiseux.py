@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .fields import ExtensionField, coerce, fresh_name
 from .poly import Poly, factor_univariate
-from .series import LaurentSeries, SeriesPrecisionLoss, poly_at_series
+from .series import LaurentSeries, poly_at_series
 
 _MAX_DEPTH = 64
 _MAX_LIFT_ROUNDS = 64

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import json
 
-from .fields import RationalField, conj_key
+from .fields import QQ, conj_key
 from .poly import minpoly_over, poly_str
-
-QQ = RationalField()
 
 
 def _f(x):

@@ -2,10 +2,11 @@ import mpmath
 import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from conftest import divides, squarefree_part
 from polarmorse.fields import (ExtensionField, ExtensionTooLarge, RationalField,
-                               rat)
+                               coerce, rat)
 from polarmorse.poly import (Poly, PolyParseError, common_zeros, exact_div,
                              factor_qq,
                              factor_univariate, from_sympy, gcd_qq,
@@ -93,11 +94,13 @@ SQRT2 = ExtensionField(QQ, "s", [rat(-2), rat(0), rat(1)])
 
 @given(small_polys(), small_polys(), st.sampled_from([0, 1]))
 @settings(max_examples=40, deadline=None)
-def test_rational_resultant_matches_interpolation(p, q, var):
-    # sympy's resultant over Q against evaluation/interpolation over Q(sqrt 2)
+def test_rational_resultant_matches_sylvester(p, q, var):
+    # sympy's PRS over ZZ against the determinant of the Sylvester matrix
     assume(p.degree_in(var) > 0 and q.degree_in(var) > 0)
-    lifted = resultant(p.to_field(SQRT2), q.to_field(SQRT2), var)
-    assert resultant(p, q, var).to_field(SQRT2) == lifted
+    P, Q = to_sympy(p), to_sympy(q)
+    det = sylvester(P.as_expr(), Q.as_expr(), P.gens[var]).det()
+    expected = sympy.Poly(det, P.gens[1 - var], domain=sympy.QQ)
+    assert to_sympy(resultant(p, q, var)).all_coeffs() == expected.all_coeffs()
 
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
@@ -121,6 +124,9 @@ def test_resultant_rejects_non_bivariate():
     xyz = parse_poly("x*z - y", ("x", "y", "z"))
     with pytest.raises(ValueError):
         resultant(xyz, xyz, 2)
+    xy = parse_poly("x*y - 1", V).to_field(SQRT2)
+    with pytest.raises(ValueError):
+        resultant(xy, xy.diff(1), 0)
 
 
 def test_exact_div_and_divides():
@@ -207,6 +213,22 @@ def test_minpoly_over_tower(cs, sub):
     assert (K2.total_degree // sub.total_degree) % deg == 0
     _unit, facs = factor_univariate(mp)
     assert facs == [(mp, 1)]
+
+
+def test_factor_univariate_over_tower():
+    # Trager's norm over K2 down to K1, then over K1 down to Q
+    a, b = coerce(K2, K1, K1.gen()), K2.gen()
+    t = Poly.var(K2, 1, 0)
+    ta, tb = t - Poly.const(K2, 1, a), t - Poly.const(K2, 1, b)
+    tb_neg = t + Poly.const(K2, 1, b)
+    tb2 = t * t - Poly.const(K2, 1, b)     # sqrt(b) is not in K2
+    for p, degrees in ((tb * tb_neg * ta, [1, 1, 1]), (tb2 * ta, [1, 2])):
+        unit, facs = factor_univariate(p)
+        assert [f.degree_in(0) for f, _m in facs] == degrees
+        prod = Poly.const(K2, 1, unit)
+        for f, m in facs:
+            prod = prod * f ** m
+        assert prod == p
 
 
 def test_minpoly_of_zero_over_own_field():

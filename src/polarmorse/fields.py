@@ -14,7 +14,10 @@ deterministically.  Numbers are sorted and deduplicated by one key,
 ``conj_key``, so no order depends on how a field is presented.  One root
 finder, ``poly_roots``, serves the embeddings here and the oracle's
 start solve: Durand–Kerner in hardware floats gives the start points of
-``mpmath.polyroots`` at the working precision.
+``mpmath.polyroots`` at the working precision.  Fields are made in one
+place, ``adjoin``: a root of an irreducible polynomial over a field is
+that field's own element when the polynomial is linear, else the
+generator of a new extension.
 """
 
 from __future__ import annotations
@@ -46,20 +49,13 @@ class ExtensionTooLarge(Exception):
 
 
 class RationalField:
-    """The field Q.  Elements are exact rationals.  A singleton, so that
-    identity comparison of coefficient fields works everywhere."""
+    """The field Q.  Elements are exact rationals.  ``QQ`` is the one
+    instance, so coefficient fields compare by identity."""
 
     base = None
     name = None
     degree = 1
     total_degree = 1
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def zero(self):
         return rat(0)
@@ -506,14 +502,22 @@ def coerce(field, src_field, x):
     """Lift x from src_field into field (which must contain it)."""
     if field is src_field:
         return x
-    if isinstance(field, RationalField):
+    if field is QQ:
         raise ValueError("cannot coerce an extension element into Q")
     return field.lift_from(src_field, x)
 
 
-def fresh_name(field, prefix):
-    used = {lvl.name for lvl in field.levels()}
+def adjoin(base, coeffs, prefix):
+    """A root of the irreducible polynomial with coefficients ``coeffs``
+    (low-to-high, over ``base``), as (field, root): ``base`` and the root
+    itself for a linear polynomial, else a new extension of ``base`` and
+    its generator, named ``prefix`` plus the first number not yet used in
+    the tower.  The one place where an ``ExtensionField`` is made."""
+    if len(coeffs) == 2:
+        return base, base.neg(base.div(coeffs[0], coeffs[1]))
+    used = {lvl.name for lvl in base.levels()}
     k = len(used)
     while "%s%d" % (prefix, k) in used:
         k += 1
-    return "%s%d" % (prefix, k)
+    ext = ExtensionField(base, "%s%d" % (prefix, k), coeffs)
+    return ext, ext.gen()

@@ -14,7 +14,10 @@ where along each branch of the projective polar closure m_fbar is the
 contact order with the closure of the fiber {f = alpha} and m_Hinf the
 contact order with the line at infinity, d = deg f.  The two routes are
 linked by  m_fbar - (d-1)*m_Hinf = ord(f|branch - alpha) - ord(ell|branch),
-which is computed independently on every branch and asserted.
+which is computed independently on every branch and asserted.  An orbit
+record expands into one individual attractor per embedding of its point's
+field and conjugate of alpha; the location of an individual is the point's
+``coords`` under that embedding: (x, y), [u : 1 : 0] or [1 : 0 : 0].
 """
 
 from __future__ import annotations
@@ -97,14 +100,10 @@ def affine_candidates(polar, sing):
     product of the components finds each point once, also where two
     components meet: the polar equation drops every factor dividing both
     partials, so it is coprime to that product, and ``singular_locus``
-    already leaves the points on a component out of the isolated ones."""
-    if polar.is_empty():
-        return []
-    out = []
-    for p in sing.isolated_points:
-        eq = polar.equation.to_field(p.field)
-        if p.field.is_zero(eq.eval((p.x, p.y))):
-            out.append(p)
+    already leaves the points on a component out of the isolated ones.
+    Every isolated point is on the polar curve: a*f_y - b*f_x vanishes
+    there, and none of the component factors it drops does."""
+    out = list(sing.isolated_points)
     if sing.one_dim_components:
         out.extend(_common_zeros(polar.equation,
                                  functools.reduce(operator.mul,
@@ -163,7 +162,7 @@ def affine_index(f, ell, polar, pcls):
     contribs = _expand_retry(germ, compute, safety_bound(f, polar))
     index = sum(c.contribution * c.conj_multiplicity for c in contribs)
     return Attractor("affine", pcls, None, "finite", L, fp,
-                     index, pcls.conj, tuple(contribs))
+                     index, L.total_degree, tuple(contribs))
 
 
 def _chart_polys(f, ell, polar, chart):
@@ -234,36 +233,26 @@ def infinity_index(f, ell, polar, ipcls, chart=None):
         return data
 
     data = _expand_retry(germ, compute, safety_bound(f, polar))
-    # group branches by the limit value alpha (as an orbit over K)
+    # group branches by the limit value alpha, as an orbit over K given by
+    # its minimal polynomial (None for an infinite alpha)
     groups = {}
     for br, alpha, contrib in data:
-        if alpha is INFINITE:
-            key = ("infinite",)
-            mp = None
-        else:
-            mp = minpoly_over(br.field, alpha, K)
-            key = ("finite", mp)
-        groups.setdefault(key, []).append((br, alpha, mp, contrib))
+        mp = None if alpha is INFINITE else minpoly_over(br.field, alpha, K)
+        groups.setdefault(mp, []).append((br, alpha, contrib))
     out = []
-    for key, members in groups.items():
-        contribs = tuple(c for _b, _a, _m, c in members)
-        if key[0] == "infinite":
-            e = 1
-            index = sum(c.contribution * c.conj_multiplicity for c in contribs)
-            out.append(Attractor("infinity", ipcls, chart, "infinite",
-                                 None, None, index, ipcls.conj * e, contribs))
+    for mp, members in groups.items():
+        # each point of the orbit carries e conjugate values of alpha
+        br0, a0, _c = members[0]
+        if mp is None:
+            e, alpha = 1, ("infinite", None, None)
         else:
-            mp = key[1]
-            e = mp.degree_in(0)
-            index = 0
-            for _b, _a, _m, c in members:
-                if c.conj_multiplicity % e != 0:
-                    raise AssertionError("branch orbit not divisible by alpha orbit")
-                index += c.contribution * (c.conj_multiplicity // e)
-            br0, a0 = members[0][0], members[0][1]
-            out.append(Attractor("infinity", ipcls, chart, "finite",
-                                 br0.field, a0, index,
-                                 ipcls.conj * e, contribs))
+            e, alpha = mp.degree_in(0), ("finite", br0.field, a0)
+        contribs = tuple(c for _b, _a, c in members)
+        if any(c.conj_multiplicity % e for c in contribs):
+            raise AssertionError("branch orbit not divisible by alpha orbit")
+        index = sum(c.contribution * (c.conj_multiplicity // e) for c in contribs)
+        out.append(Attractor("infinity", ipcls, chart, *alpha, index,
+                             K.total_degree * e, contribs))
     return out
 
 
@@ -288,42 +277,33 @@ class IndividualAttractor:
     embedding; exact data stays on the parent record."""
 
     parent: Attractor
-    location: tuple            # affine: (x, y) mpc pair; infinity: (u,) or ("x-point",)
+    location: tuple            # the point's ``coords`` under one embedding, mpc
     alpha: object              # mpc value or INFINITE
     index: int
 
 
 def _individual_key(ind):
-    """Order of individual attractors: affine points by x, then y; then
-    points [u : 1 : 0] by u; then [1 : 0 : 0].  At one location a finite
-    alpha comes before an infinite one.  Every number compares by
-    ``conj_key``."""
-    a = ind.parent
-    if a.kind == "affine":
-        loc = (0,) + tuple(conj_key(z) for z in ind.location)
-    elif a.point.u is None:
-        loc = (2,)
-    else:
-        loc = (1, conj_key(ind.location[0]))
-    return loc + ((1,) if ind.alpha is INFINITE else (0, conj_key(ind.alpha)))
+    """Order of individual attractors: affine points (x, y) by x, then y;
+    then points [u : 1 : 0] by u; then [1 : 0 : 0], the one location with
+    y = 0.  At one location a finite alpha comes before an infinite one.
+    Every number compares by ``conj_key``."""
+    loc = tuple(conj_key(z) for z in ind.location)
+    x_point = len(loc) == 3 and loc[1] == (0, 0)
+    return ((len(loc), x_point) + loc
+            + ((1,) if ind.alpha is INFINITE else (0, conj_key(ind.alpha))))
 
 
 def _orbit_individuals(a):
     """The individual attractors of one orbit record, in ``_individual_key``
-    order.  There is one location per embedding of the point field K; a
-    finite alpha contributes, at each embedding, its distinct values under
-    the embeddings of its own field that extend it (its conjugates over K)."""
+    order.  There is one location per embedding of the point field K, its
+    coordinates under that embedding; a finite alpha contributes, at each
+    embedding, its distinct values under the embeddings of its own field
+    that extend it (its conjugates over K)."""
     K, F = a.point.field, a.alpha_field
     out = []
     with mpmath.workdps(40):
         for emb in K.embeddings():
-            if a.kind == "affine":
-                loc = (on_grid(K.to_mpc(a.point.x, emb)),
-                       on_grid(K.to_mpc(a.point.y, emb)))
-            elif a.point.u is None:
-                loc = ("x-point",)
-            else:
-                loc = (on_grid(K.to_mpc(a.point.u, emb)),)
+            loc = tuple(on_grid(K.to_mpc(c, emb)) for c in a.point.coords)
             if a.alpha_kind == "infinite":
                 alphas = [INFINITE]
             else:

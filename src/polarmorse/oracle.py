@@ -333,11 +333,11 @@ def _classify_one(f, schedule, tr, individuals, r_affine, ang_tol):
         if ind.parent.kind != "infinity":
             continue
         if direction is None:
-            if ind.location != ("x-point",):
+            if ind.parent.point.u is not None:
                 continue
             dd = 0
         else:
-            if ind.location == ("x-point",):
+            if ind.parent.point.u is None:
                 if abs(direction) < 1 / ang_tol:
                     continue
                 dd = 0

@@ -6,6 +6,9 @@ away from Sing f: the squarefree part of a*f_y - b*f_x without the
 one-dimensional components of Sing f, the irreducible factors that
 divide both partials.  The isolated points of Sing f and the points of
 the polar curve on its components come from ``poly.common_zeros``.
+Each Galois orbit of points, affine or at infinity, is one point class:
+the field of one representative, whose total degree is the number of
+points, and the representative's ``coords``.
 Genericity of ell is certified a posteriori rather than described
 symbolically: the raw polar must be squarefree, and the point of the
 line ell = 0 on the line at infinity must avoid the ends of both the
@@ -17,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .fields import DEFAULT_TOWER_CAP, QQ, ExtensionField, fresh_name, rat
+from .fields import DEFAULT_TOWER_CAP, QQ, adjoin, rat
 from .poly import Poly, common_zeros, exact_div, factor_qq, gcd_qq
 
 
@@ -49,20 +52,25 @@ class LinearForm:
 
 @dataclass(frozen=True)
 class AffinePointClass:
-    """A Galois orbit of points (x, y), one representative expanded."""
+    """A Galois orbit of points (x, y) with coordinates in ``field``, one
+    representative expanded; the orbit has ``field.total_degree`` points."""
 
     field: object
     x: object
     y: object
-    conj: int          # number of points in the orbit
+
+    @property
+    def coords(self):
+        return (self.x, self.y)
 
     def coords_str(self):
-        return "(%s, %s)" % (self.field.elem_str(self.x), self.field.elem_str(self.y))
+        return "(%s, %s)" % tuple(map(self.field.elem_str, self.coords))
 
 
 @dataclass(frozen=True)
 class InfinityPointClass:
-    """A Galois orbit of points on the line at infinity.
+    """A Galois orbit of points on the line at infinity, with
+    ``field.total_degree`` points.
 
     ``u`` is the coordinate x/y of the representative [u : 1 : 0];
     ``u is None`` encodes the single point [1 : 0 : 0].
@@ -70,23 +78,26 @@ class InfinityPointClass:
 
     field: object
     u: object
-    mult: int          # multiplicity as a root of the top-degree form
-    conj: int
 
     @property
     def chart(self):
         return "x" if self.u is None else "y"
 
-    def coords_str(self):
+    @property
+    def coords(self):
+        """Homogeneous coordinates [x : y : 0] of the representative."""
+        K = self.field
         if self.u is None:
-            return "[1 : 0 : 0]"
-        return "[%s : 1 : 0]" % self.field.elem_str(self.u)
+            return (K.one(), K.zero(), K.zero())
+        return (self.u, K.one(), K.zero())
+
+    def coords_str(self):
+        return "[%s : %s : %s]" % tuple(map(self.field.elem_str, self.coords))
 
 
 @dataclass(frozen=True)
 class PolarCurve:
     equation: Poly
-    degree: int
     infinity_points: tuple
     squarefree: bool           # the raw polar a*f_y - b*f_x is squarefree
 
@@ -118,14 +129,6 @@ def _raw_polar(f, ell):
     return fy.scale(rat(ell.a)) - fx.scale(rat(ell.b))
 
 
-def _root_class(px):
-    """Field and root element for one irreducible univariate factor over Q."""
-    if px.degree_in(0) == 1:
-        return QQ, QQ.neg(QQ.div(px.constant_term(), px.terms[(1,)]))
-    ext = ExtensionField(QQ, fresh_name(QQ, "r"), px.coeffs_in(0))
-    return ext, ext.gen()
-
-
 def polar_equation(f, ell, sing):
     """The polar curve of f with respect to ell, given Sing f.
 
@@ -141,35 +144,34 @@ def polar_equation(f, ell, sing):
         raise ValueError("polar curve of a constant polynomial")
     raw = _raw_polar(f, ell)
     if raw.is_zero():
-        return PolarCurve(raw, 0, (), False)
+        return PolarCurve(raw, (), False)
     eq = Poly.const(QQ, 2, rat(1))
     if raw.is_constant():
-        return PolarCurve(eq, 0, (), True)
+        return PolarCurve(eq, (), True)
     _c, facs = factor_qq(raw)
     for fac, _m in facs:
         if fac not in sing.one_dim_components:
             eq = eq * fac
     squarefree = all(m == 1 for _fac, m in facs)
     if eq.is_constant():
-        return PolarCurve(eq, 0, (), squarefree)
-    return PolarCurve(eq, eq.total_degree(), tuple(_top_form_roots(eq)),
-                      squarefree)
+        return PolarCurve(eq, (), squarefree)
+    return PolarCurve(eq, tuple(_top_form_roots(eq)), squarefree)
 
 
 def _top_form_roots(eq):
-    """Orbits of roots of the top-degree form, as points [x : y : 0]."""
+    """Orbits of roots of the top-degree form, as points [x : y : 0], one
+    per irreducible factor."""
     top = eq.top_form()
     j_min = min(e[1] for e in top.terms)
     out = []
     if j_min > 0:
-        out.append(InfinityPointClass(QQ, None, j_min, 1))
+        out.append(InfinityPointClass(QQ, None))
     # dehomogenize by y: u = x/y
     tu = Poly(QQ, 1, {(e[0],): c for e, c in top.terms.items() if e[1] >= j_min})
     if not tu.is_constant():
         _c, facs = factor_qq(tu)
-        for fac, m in sorted(facs, key=lambda t: (t[0].degree_in(0), str(t[0]))):
-            fld, u0 = _root_class(fac)
-            out.append(InfinityPointClass(fld, u0, m, fac.degree_in(0)))
+        for fac, _m in sorted(facs, key=lambda t: (t[0].degree_in(0), str(t[0]))):
+            out.append(InfinityPointClass(*adjoin(QQ, fac.coeffs_in(0), "r")))
     return out
 
 
@@ -189,14 +191,15 @@ def singular_locus(f):
 def _common_zeros(g1, g2, exclude=None):
     """The common zeros of two coprime bivariate polynomials, one
     ``AffinePointClass`` per orbit of ``poly.common_zeros``, except those
-    on the curve ``exclude`` = 0 (on a component, not isolated)."""
+    on the curve ``exclude`` = 0 (on a component, not isolated).  The
+    coordinates are the residues of the orbit evaluated at X, the root of
+    g that ``adjoin`` gives."""
     out = []
     for g, xr, yr, _m in common_zeros(g1, g2, DEFAULT_TOWER_CAP)[1]:
-        K, _X = _root_class(g)
-        x, y = (r.constant_term() if K is QQ else K.from_vec(r.coeffs_in(0))
-                for r in (xr, yr))
+        K, X = adjoin(QQ, g.coeffs_in(0), "r")
+        x, y = (r.to_field(K).eval((X,)) for r in (xr, yr))
         if exclude is None or not K.is_zero(exclude.to_field(K).eval((x, y))):
-            out.append(AffinePointClass(K, x, y, g.degree_in(0)))
+            out.append(AffinePointClass(K, x, y))
     return out
 
 

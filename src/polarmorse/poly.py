@@ -25,7 +25,6 @@ import sympy
 from .fields import (
     QQ,
     ExtensionTooLarge,
-    RationalField,
     coerce,
     rat,
     uadd,
@@ -309,7 +308,7 @@ def substitute(p, args, lift, add=operator.add, mul=operator.mul):
 
 
 def _coeff_str(field, c, need_sign):
-    if isinstance(field, RationalField):
+    if field is QQ:
         s = str(c)
         neg = s.startswith("-")
         mag = s[1:] if neg else s
@@ -465,7 +464,7 @@ _SYM_VARS = sympy.symbols("v0 v1 v2")
 def to_sympy(p):
     """p as a sympy ``Poly`` over ``QQ`` in ``v0, v1, ...``, built from its
     exponent dict."""
-    if not isinstance(p.field, RationalField):
+    if p.field is not QQ:
         raise ValueError("sympy bridge is for Q coefficients")
     return sympy.Poly.from_dict(
         {e: sympy.QQ(c.numerator, c.denominator) for e, c in p.terms.items()},
@@ -506,7 +505,7 @@ def exact_div(p, q):
     Over Q, in any arity, it is one sympy ``exquo``.  Over an extension
     field only univariate division is supported, by ``udivmod``."""
     f = p.field
-    if isinstance(f, RationalField):
+    if f is QQ:
         try:
             return from_sympy(to_sympy(p).exquo(to_sympy(q)))
         except sympy.polys.polyerrors.ExactQuotientFailed as exc:
@@ -529,7 +528,7 @@ def factor_qq(p):
     """
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    if not isinstance(p.field, RationalField):
+    if p.field is not QQ:
         raise ValueError("factor_qq needs rational coefficients")
     content, facs = to_sympy(p).factor_list()
     return (rat(int(content.p), int(content.q)),
@@ -548,7 +547,7 @@ def factor_univariate(p):
     f = p.field
     if p.is_constant():
         return p.constant_term(), []
-    if isinstance(f, RationalField):
+    if f is QQ:
         unit, facs = factor_qq(p)
         out = []
         for fp, m in facs:

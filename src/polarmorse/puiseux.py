@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fields import ExtensionField, coerce, fresh_name
+from .fields import adjoin, coerce
 from .poly import Poly, factor_univariate
 from .series import LaurentSeries, poly_at_series
 
@@ -76,7 +76,7 @@ def _lower_hull(points):
 
 
 def _edge_data(F, a_pt, b_pt):
-    """Slope p/q, lattice length, Bezout pair, weight, and on-edge terms."""
+    """Slope p/q, Bezout pair, weight, and on-edge terms."""
     (i1, j1), (i2, j2) = a_pt, b_pt
     di, dj = i2 - i1, j1 - j2
     g = math.gcd(di, dj)
@@ -87,7 +87,7 @@ def _edge_data(F, a_pt, b_pt):
     gg, a, minus_b = _ext_gcd(q, p)
     assert gg == 1
     b = -minus_b
-    return p, q, g, a, b, weight, on_edge
+    return p, q, a, b, weight, on_edge
 
 
 def _ext_gcd(m, n):
@@ -150,22 +150,13 @@ def _expand_core(F, field, target, depth, top_level):
     if not field.is_zero(F.constant_term()):
         return branches
     for a_pt, b_pt in _lower_hull(F.terms.keys()):
-        p, q, _g, a, b, weight, on_edge = _edge_data(F, a_pt, b_pt)
+        p, q, a, b, weight, on_edge = _edge_data(F, a_pt, b_pt)
         edge = _edge_poly(field, on_edge, a, b)
         _unit, facs = factor_univariate(edge)
         for h, mult in facs:
-            if h.degree_in(0) == 1:
-                f2 = field
-                c0 = field.neg(field.div(h.constant_term(), h.terms[(1,)]))
-                F2 = F
-            else:
-                name = fresh_name(field, "g")
-                f2 = ExtensionField(field, name, h.coeffs_in(0))
-                c0 = f2.gen()
-                F2 = F.to_field(f2)
-            if f2.is_zero(c0):
-                continue  # zero root corresponds to no branch on this edge
-            G1 = _duval_substitute(F2, f2, c0, p, q, a, b, weight)
+            # the edge polynomial has a nonzero constant term, so c0 != 0
+            f2, c0 = adjoin(field, h.coeffs_in(0), "g")
+            G1 = _duval_substitute(F.to_field(f2), f2, c0, p, q, a, b, weight)
             c0b = f2.pow(c0, b)
             c0a = f2.pow(c0, a)
             if mult == 1:

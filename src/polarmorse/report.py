@@ -28,10 +28,6 @@ def _f(x):
     return v
 
 
-def _rat_str(q):
-    return str(q)
-
-
 def _minpoly_str(mp):
     return poly_str(mp, ("T",))
 
@@ -44,10 +40,13 @@ def _conjugates_json(field, value, conjugates):
     once.  The root index of a conjugate is its position among the
     distinct conjugates in (re, im) order, certified by their number being
     the degree of the minimal polynomial.  The returned function maps one
-    conjugate to its JSON entry."""
+    conjugate to its JSON entry.  A value lifted from a field lower in the
+    tower, such as the coordinates 1 and 0 of [u : 1 : 0], is read there."""
+    while field is not QQ and all(map(field.base.is_zero, value[1:])):
+        field, value = field.base, value[0]
     mp = minpoly_over(field, value, QQ) if field is not QQ else None
     if mp is None or mp.degree_in(0) == 1:
-        text = _rat_str(value if mp is None else -mp.constant_term())
+        text = str(value if mp is None else -mp.constant_term())
         return lambda approx: {"rational": text}
     text = _minpoly_str(mp)
     keys = sorted({conj_key(z) for z in conjugates})
@@ -67,30 +66,19 @@ def _branch_json(c):
 
 
 def _orbit_docs(a, individuals):
-    """JSON entries of the individual attractors of one orbit ``a``."""
+    """JSON entries of the individual attractors of one orbit ``a``: one
+    encoder per coordinate of the point, fed the individuals' locations."""
     p = a.point
-    locs = [ind.location for ind in individuals]
-    if a.kind == "affine":
-        xs = _conjugates_json(p.field, p.x, [loc[0] for loc in locs])
-        ys = _conjugates_json(p.field, p.y, [loc[1] for loc in locs])
-    elif p.u is not None:
-        us = _conjugates_json(p.field, p.u, [loc[0] for loc in locs])
+    coords = [_conjugates_json(p.field, c, [ind.location[i]
+                                            for ind in individuals])
+              for i, c in enumerate(p.coords)]
     if a.alpha_kind == "finite":
         alphas = _conjugates_json(a.alpha_field, a.alpha_value,
                                   [ind.alpha for ind in individuals])
     out = []
     for ind in individuals:
-        if a.kind == "affine":
-            location = {"type": "affine", "chart": None,
-                        "point": [xs(ind.location[0]), ys(ind.location[1])]}
-        elif p.u is None:
-            location = {"type": "infinity", "chart": a.chart,
-                        "point": [{"rational": "1"}, {"rational": "0"},
-                                  {"rational": "0"}]}
-        else:
-            location = {"type": "infinity", "chart": a.chart,
-                        "point": [us(ind.location[0]), {"rational": "1"},
-                                  {"rational": "0"}]}
+        location = {"type": a.kind, "chart": a.chart,
+                    "point": [enc(z) for enc, z in zip(coords, ind.location)]}
         if a.alpha_kind == "finite":
             alpha = {"type": "finite", "value": alphas(ind.alpha)}
         else:
@@ -129,7 +117,7 @@ def report_to_doc(report, variables=("x", "y")):
         doc["verification"] = {
             "matched": v.matched,
             "clusters": {str(k): n for k, n in sorted(v.observed.items())},
-            "t_schedule": [_rat_str(t) for t in v.t_schedule],
+            "t_schedule": [str(t) for t in v.t_schedule],
             "mismatches": list(v.mismatches),
         }
     return doc

@@ -14,7 +14,7 @@ import mpmath
 import pytest
 
 from conftest import branch_residual, count_vanishing_solutions
-from polarmorse.fields import RationalField, rat
+from polarmorse.fields import QQ, rat
 from polarmorse.poly import Poly, minpoly_over, parse_poly, poly_str
 from polarmorse.polar import LinearForm, polar_equation, singular_locus
 from polarmorse.morse import (_chart_polys, analyze_symbolic, chart_center,
@@ -22,7 +22,6 @@ from polarmorse.morse import (_chart_polys, analyze_symbolic, chart_center,
 from polarmorse.oracle import critical_points
 from polarmorse.series import SeriesPrecisionLoss
 
-QQ = RationalField()
 V = ("x", "y")
 
 GOLDEN = [

@@ -5,11 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from polarmorse import fields
-from polarmorse.fields import (EMBED_DPS, ExtensionField, ExtensionTooLarge,
-                               RationalField, conj_key, poly_roots, rat,
+from polarmorse.fields import (DEFAULT_TOWER_CAP, EMBED_DPS, QQ, ExtensionField,
+                               ExtensionTooLarge, conj_key, poly_roots, rat,
                                udivmod, ugcd, umul, utrim)
-
-QQ = RationalField()
 
 rationals = st.builds(rat, st.integers(-50, 50), st.integers(1, 20))
 
@@ -22,10 +20,6 @@ def sqrt2_tower():
     """K = Q(sqrt2) and L = K(b) with b^2 = sqrt2."""
     K = sqrt2_field()
     return K, ExtensionField(K, "b", [K.neg(K.gen()), K.zero(), K.one()])
-
-
-def test_rational_field_is_singleton():
-    assert RationalField() is RationalField()
 
 
 def test_rat_arithmetic():
@@ -74,6 +68,44 @@ def test_tower_cap_enforced():
     K = sqrt2_field()
     with pytest.raises(ExtensionTooLarge):
         ExtensionField(K, "c", [K.from_rat(rat(2))] + [K.zero()] * 15 + [K.one()])
+
+
+def _value_at(field, base, coeffs, root):
+    """The polynomial with ``coeffs`` (low-to-high, over ``base``) at
+    ``root``, an element of ``field``, by Horner."""
+    acc = field.zero()
+    for c in reversed(coeffs):
+        acc = field.add(field.mul(acc, root), fields.coerce(field, base, c))
+    return acc
+
+
+@pytest.mark.parametrize("over_k", [False, True], ids=["Q", "Q(sqrt2)"])
+def test_adjoin_linear_and_quadratic(over_k):
+    base = sqrt2_field() if over_k else QQ
+    s = base.gen() if over_k else rat(2)
+    two, three = base.from_rat(rat(2)), base.from_rat(rat(3))
+    # a linear factor 2T - 3*s: its root, in the base field itself
+    lin = [base.neg(base.mul(three, s)), two]
+    field, root = fields.adjoin(base, lin, "r")
+    assert field is base
+    assert base.is_zero(_value_at(base, base, lin, root))
+    # a quadratic factor T^2 - s: a new field of twice the degree
+    quad = [base.neg(s), base.zero(), base.one()]
+    field, root = fields.adjoin(base, quad, "r")
+    assert field.base is base and field.total_degree == 2 * base.total_degree
+    assert field.is_zero(_value_at(field, base, quad, root))
+    assert field.name not in {lvl.name for lvl in base.levels()}
+
+
+def test_adjoin_past_the_tower_cap():
+    # T^n - sqrt2 is irreducible over Q(sqrt2) (2^(1/2n) has degree 2n)
+    K = sqrt2_field()
+    at_cap = DEFAULT_TOWER_CAP // 2
+    field, _b = fields.adjoin(K, [K.neg(K.gen())] + [K.zero()] * (at_cap - 1)
+                              + [K.one()], "b")
+    assert field.total_degree == DEFAULT_TOWER_CAP
+    with pytest.raises(ExtensionTooLarge):
+        fields.adjoin(K, [K.neg(K.gen())] + [K.zero()] * at_cap + [K.one()], "b")
 
 
 def test_construction_finds_no_roots(monkeypatch):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from polarmorse import morse, polar
-from polarmorse.fields import RationalField, rat
+from polarmorse.fields import QQ, rat
 from polarmorse.poly import parse_poly
 from polarmorse.polar import GenericityError, LinearForm, polar_equation, singular_locus
 from polarmorse.morse import (affine_candidates, affine_index, analyze_symbolic,
@@ -11,7 +11,6 @@ from polarmorse.morse import (affine_candidates, affine_index, analyze_symbolic,
                               total_morse_number)
 from polarmorse.puiseux import INFINITE, DegenerateComposition
 
-QQ = RationalField()
 V = ("x", "y")
 
 

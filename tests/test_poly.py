@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.subresultants_qq_zz import sylvester
 
 from conftest import divides, squarefree_part
-from polarmorse.fields import (ExtensionField, ExtensionTooLarge, RationalField,
+from polarmorse.fields import (QQ, ExtensionField, ExtensionTooLarge,
                                coerce, rat)
 from polarmorse.poly import (Poly, PolyParseError, common_zeros, exact_div,
                              factor_qq,
@@ -15,7 +15,6 @@ from polarmorse.poly import (Poly, PolyParseError, common_zeros, exact_div,
 from polarmorse.oracle import _to_mpf
 from polarmorse.series import LaurentSeries, poly_at_series
 
-QQ = RationalField()
 V = ("x", "y")
 
 

@@ -4,13 +4,11 @@ import mpmath
 import pytest
 
 from conftest import branch_residual, count_vanishing_solutions, squarefree_part
-from polarmorse.fields import RationalField, rat
+from polarmorse.fields import QQ, adjoin, rat
 from polarmorse.poly import Poly, factor_qq, parse_poly, resultant
-from polarmorse.polar import _root_class
 from polarmorse.puiseux import expand_branches, series_order_after_limit, INFINITE
 from polarmorse.series import poly_at_series
 
-QQ = RationalField()
 V = ("x", "y")
 
 
@@ -119,7 +117,7 @@ def _fiber_contact_total(G, x0=rat(0)):
     for fac, _m in facs:
         if fac.degree_in(0) == 0:
             continue
-        fld, y0 = _root_class(fac)
+        fld, y0 = adjoin(QQ, fac.coeffs_in(0), "r")
         brs = expand_branches(G.to_field(fld).translate((fld.zero(), y0)),
                               target_order=2 * G.total_degree() + 6)
         for b in brs:

@@ -6,7 +6,7 @@ import pytest
 from conftest import count_polyval
 
 from polarmorse import fields, morse, report
-from polarmorse.fields import ExtensionField, RationalField, rat
+from polarmorse.fields import QQ, ExtensionField, rat
 from polarmorse.morse import analyze_symbolic, build_report
 from polarmorse.puiseux import INFINITE
 from polarmorse.polar import LinearForm
@@ -14,7 +14,6 @@ from polarmorse.poly import parse_poly
 from polarmorse.report import to_json
 
 V = ("x", "y")
-QQ = RationalField()
 
 # (f, ell, seed): the pinned inputs of tests/data (the three goldens and
 # a tower); an input whose conjugate orbits have roots that are not in the

@@ -2,11 +2,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_series
-from polarmorse.fields import ExtensionField, RationalField, rat
+from polarmorse.fields import QQ, ExtensionField, rat
 from polarmorse.poly import parse_poly
 from polarmorse.series import LaurentSeries, SeriesPrecisionLoss, poly_at_series
-
-QQ = RationalField()
 
 
 def series_from(items, trunc=10):

@@ -33,3 +33,48 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+#: Dataclass fields that no code in the package reads, each with the reader
+#: that keeps it.  ``BranchContribution.branch``: criterion 8 of
+#: ``tests/test_acceptance.py`` reads each contribution's branch.
+UNREAD_FIELDS_ALLOWED = {("BranchContribution", "branch")}
+
+
+def dataclass_fields(source):
+    """(class, field) for each annotated field of a ``@dataclass`` class."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decos = [d.func if isinstance(d, ast.Call) else d
+                 for d in node.decorator_list]
+        if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decos):
+            continue
+        out.extend((node.name, stmt.target.id) for stmt in node.body
+                   if isinstance(stmt, ast.AnnAssign)
+                   and isinstance(stmt.target, ast.Name))
+    return out
+
+
+def attributes_read(source):
+    """Names read as an attribute, ``obj.name``, in ``source``."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_dataclass_fields_are_found():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n"
+              "    def f(self):\n        self.z = self.x\n"
+              "@dataclass\nclass B:\n    w: int\n"
+              "class C:\n    v: int\n")
+    assert dataclass_fields(source) == [("A", "x"), ("A", "y"), ("B", "w")]
+    assert attributes_read(source) == {"x"}
+
+
+def test_dataclass_fields_are_read():
+    sources = [path.read_text() for path in sorted(SRC.glob("*.py"))]
+    read = set().union(*map(attributes_read, sources))
+    unread = [cf for source in sources for cf in dataclass_fields(source)
+              if cf[1] not in read and cf not in UNREAD_FIELDS_ALLOWED]
+    assert unread == []

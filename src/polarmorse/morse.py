@@ -14,7 +14,11 @@ where along each branch of the projective polar closure m_fbar is the
 contact order with the closure of the fiber {f = alpha} and m_Hinf the
 contact order with the line at infinity, d = deg f.  The two routes are
 linked by  m_fbar - (d-1)*m_Hinf = ord(f|branch - alpha) - ord(ell|branch),
-which is computed independently on every branch and asserted.  An orbit
+which is computed independently on every branch and asserted.  The
+affine term is its right side with alpha = f(p) and ell - ell(p), so one
+routine serves every point, in a chart named by the coordinate it divides
+out (z for the affine plane): it expands the germ of the polar curve at
+the point's center in the chart, and composes f and ell there.  An orbit
 record expands into one individual attractor per embedding of its point's
 field and conjugate of alpha; the location of an individual is the point's
 ``coords`` under that embedding: (x, y), [u : 1 : 0] or [1 : 0 : 0].
@@ -58,15 +62,18 @@ class Attractor:
     each absorbing ``index`` Morse points.
     """
 
-    kind: str                  # "affine" | "infinity"
-    point: object              # AffinePointClass | InfinityPointClass
-    chart: object              # chart id for infinity attractors, else None
+    point: object              # PointClass
+    chart: object              # the chart of the expansion, None if affine
     alpha_kind: str            # "finite" | "infinite"
     alpha_field: object
     alpha_value: object        # representative value when finite
     index: int
     n_points: int
     contributions: tuple
+
+    @property
+    def kind(self):
+        return "affine" if self.chart is None else "infinity"
 
     def total(self):
         return self.index * self.n_points
@@ -130,130 +137,115 @@ def _expand_retry(germ, compute, bound):
             target *= 2
 
 
-def affine_index(f, ell, polar, pcls):
-    """Attractor record at an isolated affine candidate point."""
-    L = pcls.field
-    center = (pcls.x, pcls.y)
-    germ = polar.equation.to_field(L).translate(center)
-    if not L.is_zero(germ.constant_term()):
-        raise ValueError("candidate point does not lie on the polar curve")
-    floc = f.to_field(L).translate(center)
-    fp = floc.constant_term()
-    fsh = floc - Poly.const(L, 2, fp)
-    # ell is linear, so ell(p + v) - ell(p) = ell(v)
-    ellsh = ell.poly().to_field(L)
-
-    def compute(branches):
-        contribs = []
-        for br in branches:
-            fser = poly_at_series(fsh.to_field(br.field),
-                                  (br.x_series, br.y_series))
-            ellser = poly_at_series(ellsh.to_field(br.field),
-                                    (br.x_series, br.y_series))
-            of, oe = fser.order(), ellser.order()
-            c = of - oe
-            if c < 0:
-                raise ArithmeticError(
-                    "affine branch with ord f < ord ell at %s" % pcls.coords_str())
-            contribs.append(BranchContribution(br, of, oe, None, None, c,
-                                               br.conj_multiplicity))
-        return contribs
-
-    contribs = _expand_retry(germ, compute, safety_bound(f, polar))
-    index = sum(c.contribution * c.conj_multiplicity for c in contribs)
-    return Attractor("affine", pcls, None, "finite", L, fp,
-                     index, L.total_degree, tuple(contribs))
-
-
 def _chart_polys(f, ell, polar, chart):
-    """Polar closure, degree-d fiber numerator, and ell numerator in a chart.
+    """The polar equation, f and ell in a chart, named by the coordinate
+    it divides out.
 
-    Chart "y" has coordinates (u, z) with [x:y:1] = [u/z : 1/z : 1]; chart
-    "x" has (v, z) with [1/z : v/z : 1].  In either chart f = fbar / z^d
-    and ell = ellbar / z on the chart domain.
+    Chart None is the affine plane, where they are themselves.  Chart "y"
+    has coordinates (u, z) with [x : y : 1] = [u/z : 1/z : 1]; chart "x"
+    has (v, z) with [1/z : v/z : 1].  There they are the polar closure,
+    fbar and ellbar, with f = fbar / z^d and ell = ellbar / z, d = deg f.
     """
-    drop = 1 if chart == "y" else 0
-    G = polar.equation.homogenize().dehomogenize(drop)
-    fbar = f.homogenize().dehomogenize(drop)
-    ellbar = ell.poly().homogenize().dehomogenize(drop)
-    return G, fbar, ellbar
-
-
-def chart_center(ipcls, chart):
-    """Chart coordinate of an infinity point class, or None if invisible."""
-    if chart == "y":
-        return ipcls.u
-    if ipcls.u is None:
-        return ipcls.field.zero()
-    if ipcls.field.is_zero(ipcls.u):
-        return None
-    return ipcls.field.inv(ipcls.u)
-
-
-def infinity_index(f, ell, polar, ipcls, chart=None):
-    """Attractor records (one per limit value alpha) at an infinity point."""
+    polys = (polar.equation, f, ell.poly())
     if chart is None:
-        chart = ipcls.chart
-    c0 = chart_center(ipcls, chart)
-    if c0 is None:
-        raise ValueError("infinity point is not visible in chart %s" % chart)
-    d = f.total_degree()
-    K = ipcls.field
-    G, fbar, ellbar = _chart_polys(f, ell, polar, chart)
-    germ = G.to_field(K).translate((c0, K.zero()))
+        return polys
+    return tuple(p.homogenize().dehomogenize("xy".index(chart)) for p in polys)
+
+
+def chart_center(point, chart):
+    """The point in a chart: its homogeneous coordinates, [x : y : 1] for
+    an affine point, with the chart's coordinate (z for chart None)
+    divided out of the others; None where that coordinate is zero."""
+    K = point.field
+    coords = point.coords + (K.one(),) * (3 - len(point.coords))
+    i = 2 if chart is None else "xy".index(chart)
+    if K.is_zero(coords[i]):
+        return None
+    s = K.inv(coords[i])
+    return tuple(K.mul(c, s) for j, c in enumerate(coords) if j != i)
+
+
+def _records(f, ell, polar, point, chart):
+    """Attractor records at a point, one per orbit over its field K of the
+    limit values alpha, from the polar branches through its center in
+    ``chart``; f and ell are composed at center + branch, and divided by
+    z^d and z at infinity.  An alpha in K is stored in K."""
+    center = chart_center(point, chart)
+    if center is None:
+        raise ValueError("point is not visible in chart %s" % chart)
+    K = point.field
+    G, F, E = _chart_polys(f, ell, polar, chart)
+    germ = G.to_field(K).translate(center)
     if not K.is_zero(germ.constant_term()):
         raise ValueError("point is not on the closure of the polar curve")
+    d = f.total_degree()
 
     def compute(branches):
         data = []
         for br in branches:
             bf = br.field
-            c0b = coerce(bf, K, c0)
-            user = br.x_series + LaurentSeries.const(bf, c0b, br.x_series.trunc)
-            zser = br.y_series
-            mh = zser.order()
-            fbar_ser = poly_at_series(fbar.to_field(bf), (user, zser))
-            fser = fbar_ser * zser ** (-d)
-            alpha, of = series_order_after_limit(fser)
-            ellser = poly_at_series(ellbar.to_field(bf), (user, zser)) * zser ** (-1)
-            oe = ellser.order()
-            if alpha is INFINITE:
-                mfb = fbar_ser.order()
+            arc = tuple(s + LaurentSeries.const(bf, coerce(bf, K, c), s.trunc)
+                        for c, s in zip(center, (br.x_series, br.y_series)))
+            fbar = poly_at_series(F.to_field(bf), arc)
+            if chart is None:
+                mh, zinv, fser = None, None, fbar
             else:
-                shifted = fbar_ser - (zser ** d).scale(alpha)
-                mfb = shifted.order()
-            if mfb - (d - 1) * mh != of - oe:
-                raise AssertionError(
-                    "chart-consistency failure at %s: %d - %d*%d != %d - %d"
-                    % (ipcls.coords_str(), mfb, d - 1, mh, of, oe))
-            c = mfb - (d - 1) * mh
-            data.append((br, alpha,
-                         BranchContribution(br, of, oe, mfb, mh,
-                                            max(0, c), br.conj_multiplicity)))
+                mh, zinv = arc[1].order(), arc[1].inverse()
+                fser = fbar * zinv ** d
+            alpha, of = series_order_after_limit(fser)
+            ellser = poly_at_series(E.to_field(bf), arc)
+            _ell_p, oe = series_order_after_limit(
+                ellser if zinv is None else ellser * zinv)
+            c = of - oe
+            if chart is None:
+                mfb = None
+                if c < 0:
+                    raise ArithmeticError(
+                        "affine branch with ord f < ord ell at %s" % point.coords_str())
+            else:
+                mfb = (fbar if alpha is INFINITE
+                       else fbar - (arc[1] ** d).scale(alpha)).order()
+                if mfb - (d - 1) * mh != c:
+                    raise AssertionError(
+                        "chart-consistency failure at %s: %d - %d*%d != %d - %d"
+                        % (point.coords_str(), mfb, d - 1, mh, of, oe))
+            data.append((alpha, BranchContribution(br, of, oe, mfb, mh, max(0, c),
+                                                   br.conj_multiplicity)))
         return data
 
-    data = _expand_retry(germ, compute, safety_bound(f, polar))
-    # group branches by the limit value alpha, as an orbit over K given by
-    # its minimal polynomial (None for an infinite alpha)
     groups = {}
-    for br, alpha, contrib in data:
-        mp = None if alpha is INFINITE else minpoly_over(br.field, alpha, K)
-        groups.setdefault(mp, []).append((br, alpha, contrib))
+    for alpha, c in _expand_retry(germ, compute, safety_bound(f, polar)):
+        mp = None if alpha is INFINITE else minpoly_over(c.branch.field, alpha, K)
+        groups.setdefault(mp, []).append((alpha, c))
     out = []
     for mp, members in groups.items():
         # each point of the orbit carries e conjugate values of alpha
-        br0, a0, _c = members[0]
+        a0, c0 = members[0]
         if mp is None:
             e, alpha = 1, ("infinite", None, None)
+        elif mp.degree_in(0) == 1:
+            e, alpha = 1, ("finite", K, K.neg(mp.constant_term()))
         else:
-            e, alpha = mp.degree_in(0), ("finite", br0.field, a0)
-        contribs = tuple(c for _b, _a, c in members)
+            e, alpha = mp.degree_in(0), ("finite", c0.branch.field, a0)
+        contribs = tuple(c for _a, c in members)
         if any(c.conj_multiplicity % e for c in contribs):
             raise AssertionError("branch orbit not divisible by alpha orbit")
         index = sum(c.contribution * (c.conj_multiplicity // e) for c in contribs)
-        out.append(Attractor("infinity", ipcls, chart, *alpha, index,
-                             K.total_degree * e, contribs))
+        out.append(Attractor(point, chart, *alpha, index, K.total_degree * e,
+                             contribs))
     return out
+
+
+def affine_index(f, ell, polar, point):
+    """The attractor record at an affine candidate point."""
+    (record,) = _records(f, ell, polar, point, None)
+    return record
+
+
+def infinity_index(f, ell, polar, point, chart=None):
+    """Attractor records (one per limit value alpha) at a point at
+    infinity, seen in ``chart``, by default the point's own."""
+    return _records(f, ell, polar, point, chart or point.chart)
 
 
 def total_morse_number(attractors):
@@ -279,7 +271,6 @@ class IndividualAttractor:
     parent: Attractor
     location: tuple            # the point's ``coords`` under one embedding, mpc
     alpha: object              # mpc value or INFINITE
-    index: int
 
 
 def _individual_key(ind):
@@ -311,7 +302,7 @@ def _orbit_individuals(a):
                 alphas = sorted({on_grid(F.to_mpc(a.alpha_value, E))
                                  for E in F.embeddings()
                                  if E[:len(emb)] == emb}, key=conj_key)
-            out.extend(IndividualAttractor(a, loc, al, a.index)
+            out.extend(IndividualAttractor(a, loc, al)
                        for al in alphas)
         assert len(out) == a.n_points, (
             "orbit of %d points expanded to %d individuals"

@@ -284,10 +284,10 @@ def classify_trajectories(f, ell, schedule, report, precision=256):
         observed[label] += 1
 
     for i, ind in enumerate(individuals):
-        if observed[i] != ind.index:
+        if observed[i] != ind.parent.index:
             mismatches.append(
                 "attractor %d (%s): observed %d, symbolic %d"
-                % (i, ind.parent.kind, observed[i], ind.index))
+                % (i, ind.parent.kind, observed[i], ind.parent.index))
     matched = not mismatches
     return OracleVerdict(tuple(schedule), observed, matched, mismatches)
 
@@ -332,19 +332,16 @@ def _classify_one(f, schedule, tr, individuals, r_affine, ang_tol):
     for i, ind in enumerate(individuals):
         if ind.parent.kind != "infinity":
             continue
-        if direction is None:
-            if ind.parent.point.u is not None:
+        if ind.parent.point.chart == "x":             # [1 : 0 : 0]
+            if direction is not None and abs(direction) < 1 / ang_tol:
                 continue
             dd = 0
+        elif direction is None:
+            continue
         else:
-            if ind.parent.point.u is None:
-                if abs(direction) < 1 / ang_tol:
-                    continue
-                dd = 0
-            else:
-                dd = abs(direction - ind.location[0])
-                if dd > max(ang_tol * 100, ang_tol * (1 + abs(direction))) and dd > 0.05:
-                    continue
+            dd = abs(direction - ind.location[0])
+            if dd > max(ang_tol * 100, ang_tol * (1 + abs(direction))) and dd > 0.05:
+                continue
         if f_infinite != (ind.alpha is INFINITE):
             continue
         if not f_infinite:

@@ -6,9 +6,11 @@ away from Sing f: the squarefree part of a*f_y - b*f_x without the
 one-dimensional components of Sing f, the irreducible factors that
 divide both partials.  The isolated points of Sing f and the points of
 the polar curve on its components come from ``poly.common_zeros``.
-Each Galois orbit of points, affine or at infinity, is one point class:
-the field of one representative, whose total degree is the number of
-points, and the representative's ``coords``.
+Each Galois orbit of points of P^2 is one ``PointClass``: the field of
+one representative, whose total degree is the number of points, and the
+representative's ``coords``, (x, y) or (u, 1, 0) or (1, 0, 0).  Its
+``chart`` is the coordinate divided out to see it: None (that is, z) for
+an affine point, else y or x.
 Genericity of ell is certified a posteriori rather than described
 symbolically: the raw polar must be squarefree, and the point of the
 line ell = 0 on the line at infinity must avoid the ends of both the
@@ -51,48 +53,28 @@ class LinearForm:
 
 
 @dataclass(frozen=True)
-class AffinePointClass:
-    """A Galois orbit of points (x, y) with coordinates in ``field``, one
-    representative expanded; the orbit has ``field.total_degree`` points."""
+class PointClass:
+    """A Galois orbit of points of P^2 with coordinates in ``field``, one
+    representative expanded; the orbit has ``field.total_degree`` points.
 
-    field: object
-    x: object
-    y: object
-
-    @property
-    def coords(self):
-        return (self.x, self.y)
-
-    def coords_str(self):
-        return "(%s, %s)" % tuple(map(self.field.elem_str, self.coords))
-
-
-@dataclass(frozen=True)
-class InfinityPointClass:
-    """A Galois orbit of points on the line at infinity, with
-    ``field.total_degree`` points.
-
-    ``u`` is the coordinate x/y of the representative [u : 1 : 0];
-    ``u is None`` encodes the single point [1 : 0 : 0].
+    ``coords`` are (x, y) for an affine point, and the homogeneous
+    coordinates (u, 1, 0) or (1, 0, 0) for a point on the line at infinity.
     """
 
     field: object
-    u: object
+    coords: tuple
 
     @property
     def chart(self):
-        return "x" if self.u is None else "y"
-
-    @property
-    def coords(self):
-        """Homogeneous coordinates [x : y : 0] of the representative."""
-        K = self.field
-        if self.u is None:
-            return (K.one(), K.zero(), K.zero())
-        return (self.u, K.one(), K.zero())
+        """The coordinate divided out to see the point: None (the affine
+        plane) for an affine point, else "y" where y != 0 and "x" otherwise."""
+        if len(self.coords) == 2:
+            return None
+        return "x" if self.field.is_zero(self.coords[1]) else "y"
 
     def coords_str(self):
-        return "[%s : %s : %s]" % tuple(map(self.field.elem_str, self.coords))
+        fmt = "(%s, %s)" if len(self.coords) == 2 else "[%s : %s : %s]"
+        return fmt % tuple(map(self.field.elem_str, self.coords))
 
 
 @dataclass(frozen=True)
@@ -107,7 +89,7 @@ class PolarCurve:
 
 @dataclass(frozen=True)
 class SingularLocus:
-    isolated_points: tuple      # AffinePointClass
+    isolated_points: tuple      # affine PointClass
     one_dim_components: tuple   # reduced irreducible Poly
 
 
@@ -165,13 +147,14 @@ def _top_form_roots(eq):
     j_min = min(e[1] for e in top.terms)
     out = []
     if j_min > 0:
-        out.append(InfinityPointClass(QQ, None))
+        out.append(PointClass(QQ, (QQ.one(), QQ.zero(), QQ.zero())))
     # dehomogenize by y: u = x/y
     tu = Poly(QQ, 1, {(e[0],): c for e, c in top.terms.items() if e[1] >= j_min})
     if not tu.is_constant():
         _c, facs = factor_qq(tu)
         for fac, _m in sorted(facs, key=lambda t: (t[0].degree_in(0), str(t[0]))):
-            out.append(InfinityPointClass(*adjoin(QQ, fac.coeffs_in(0), "r")))
+            K, u = adjoin(QQ, fac.coeffs_in(0), "r")
+            out.append(PointClass(K, (u, K.one(), K.zero())))
     return out
 
 
@@ -190,7 +173,7 @@ def singular_locus(f):
 
 def _common_zeros(g1, g2, exclude=None):
     """The common zeros of two coprime bivariate polynomials, one
-    ``AffinePointClass`` per orbit of ``poly.common_zeros``, except those
+    ``PointClass`` per orbit of ``poly.common_zeros``, except those
     on the curve ``exclude`` = 0 (on a component, not isolated).  The
     coordinates are the residues of the orbit evaluated at X, the root of
     g that ``adjoin`` gives."""
@@ -199,7 +182,7 @@ def _common_zeros(g1, g2, exclude=None):
         K, X = adjoin(QQ, g.coeffs_in(0), "r")
         x, y = (r.to_field(K).eval((X,)) for r in (xr, yr))
         if exclude is None or not K.is_zero(exclude.to_field(K).eval((x, y))):
-            out.append(AffinePointClass(K, x, y))
+            out.append(PointClass(K, (x, y)))
     return out
 
 

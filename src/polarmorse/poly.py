@@ -130,13 +130,16 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = Poly.const(self.field, self.arity, self.field.one())
+        if n == 0:
+            return Poly.const(self.field, self.arity, self.field.one())
+        out = None
         acc = self
         while n:
             if n & 1:
-                out = out * acc
-            acc = acc * acc
+                out = acc if out is None else out * acc
             n >>= 1
+            if n:
+                acc = acc * acc
         return out
 
     def scale(self, c):
@@ -769,9 +772,10 @@ def _first_dependence(sub, vectors):
         piv = next((i for i, v in enumerate(vec) if not sub.is_zero(v)), None)
         if piv is None:
             return Poly.from_coeffs(sub, comb)
-        inv = sub.inv(vec[piv])
-        rows.append((piv, [sub.mul(v, inv) for v in vec],
-                     [sub.mul(v, inv) for v in comb]))
+        if not sub.eq(vec[piv], sub.one()):     # 1 = elem^0 has pivot 1
+            inv = sub.inv(vec[piv])
+            vec, comb = [sub.mul(v, inv) for v in vec], [sub.mul(v, inv) for v in comb]
+        rows.append((piv, vec, comb))
 
 
 def minpoly_over(field, elem, subfield):

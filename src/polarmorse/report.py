@@ -83,7 +83,7 @@ def _orbit_docs(a, individuals):
             alpha = {"type": "finite", "value": alphas(ind.alpha)}
         else:
             alpha = {"type": "infinite"}
-        out.append({"location": location, "alpha": alpha, "index": ind.index,
+        out.append({"location": location, "alpha": alpha, "index": a.index,
                     "branches": [_branch_json(c) for c in a.contributions]})
     return out
 

@@ -249,16 +249,9 @@ def _center_groups(f, rep):
     polar = polar_equation(f, rep.ell, singular_locus(f))
     groups = {}
     for a in rep.attractors:
-        K = a.point.field
-        if a.kind == "affine":
-            key = ("affine", id(a.point))
-            germ = polar.equation.to_field(K).translate((a.point.x, a.point.y))
-        else:
-            key = ("infinity", id(a.point), a.chart)
-            G, _fb, _eb = _chart_polys(f, rep.ell, polar, a.chart)
-            c0 = chart_center(a.point, a.chart)
-            germ = G.to_field(K).translate((c0, K.zero()))
-        entry = groups.setdefault(key, (germ, []))
+        G, _f, _ell = _chart_polys(f, rep.ell, polar, a.chart)
+        germ = G.to_field(a.point.field).translate(chart_center(a.point, a.chart))
+        entry = groups.setdefault((id(a.point), a.chart), (germ, []))
         entry[1].extend(c.branch for c in a.contributions)
     return list(groups.values())
 

@@ -1,11 +1,13 @@
 import random
+import sys
 
 import pytest
 
 from polarmorse import morse, polar
 from polarmorse.fields import QQ, rat
-from polarmorse.poly import parse_poly
-from polarmorse.polar import GenericityError, LinearForm, polar_equation, singular_locus
+from polarmorse.poly import Poly, parse_poly
+from polarmorse.polar import (GenericityError, LinearForm, PointClass, polar_equation,
+                              singular_locus)
 from polarmorse.morse import (affine_candidates, affine_index, analyze_symbolic,
                               build_report, chart_center, infinity_index,
                               total_morse_number)
@@ -64,7 +66,7 @@ def test_affine_candidates_restricted_to_polar(quintic_node, ell_xy):
     polar = polar_equation(quintic_node, ell_xy, sing)
     cands = affine_candidates(polar, sing)
     assert len(cands) == 1
-    assert cands[0].x == rat(0) and cands[0].y == rat(0)
+    assert cands[0].coords == (rat(0), rat(0))
 
 
 def test_affine_candidates_where_components_meet():
@@ -74,7 +76,7 @@ def test_affine_candidates_where_components_meet():
     ell = LinearForm(rat(1), rat(2))
     sing = singular_locus(f)
     cands = affine_candidates(polar_equation(f, ell, sing), sing)
-    coords = [(c.x, c.y) for c in cands]
+    coords = [c.coords for c in cands]
     assert all(c.field is QQ for c in cands)
     assert sorted(coords) == [(rat(-1), rat(0)), (rat(-2, 5), rat(-2, 5)),
                               (rat(0), rat(-1)), (rat(0), rat(0))]
@@ -87,6 +89,54 @@ def test_affine_contributions_nonnegative(sextic_eight, ell_xy):
             continue
         for c in a.contributions:
             assert c.contribution == c.ord_f - c.ord_ell >= 0
+
+
+def test_point_class_chart():
+    # the chart drops a nonzero coordinate: z for an affine point, else y
+    # where it is nonzero, else x
+    one, zero = rat(1), rat(0)
+    assert PointClass(QQ, (rat(2), rat(3))).chart is None
+    assert PointClass(QQ, (rat(2), one, zero)).chart == "y"
+    assert PointClass(QQ, (zero, one, zero)).chart == "y"
+    assert PointClass(QQ, (one, zero, zero)).chart == "x"
+
+
+@pytest.mark.parametrize("coords, expected", [
+    ((2, 3), {None: (2, 3), "x": (rat(3, 2), rat(1, 2)), "y": (rat(2, 3), rat(1, 3))}),
+    ((1, 0, 0), {None: None, "x": (0, 0), "y": None}),
+    ((0, 1, 0), {None: None, "x": None, "y": (0, 0)}),
+    ((2, 1, 0), {None: None, "x": (rat(1, 2), 0), "y": (2, 0)}),
+], ids=["(2, 3)", "[1 : 0 : 0]", "[0 : 1 : 0]", "[2 : 1 : 0]"])
+def test_chart_center(coords, expected):
+    # the chart's coordinate (z for chart None) is divided out of the
+    # others; None where it is zero
+    point = PointClass(QQ, tuple(map(rat, coords)))
+    for chart in (None, "x", "y"):
+        assert chart_center(point, chart) == expected[chart], chart
+
+
+@pytest.mark.parametrize("name", ["quintic_node", "sextic_eight"])
+def test_one_translate_per_expansion_center(monkeypatch, request, ell_xy, name):
+    # the germ of the polar curve is the one polynomial moved to a center;
+    # f and ell are composed at center + branch
+    f = request.getfixturevalue(name)
+    sing = singular_locus(f)
+    polar = polar_equation(f, ell_xy, sing)
+    candidates = affine_candidates(polar, sing)
+    real = Poly.translate
+    centers = []
+
+    def counted(p, center):
+        if sys._getframe(1).f_globals["__name__"] == morse.__name__:
+            centers.append(center)
+        return real(p, center)
+
+    monkeypatch.setattr(Poly, "translate", counted)
+    for p in candidates:
+        affine_index(f, ell_xy, polar, p)
+    for p in polar.infinity_points:
+        infinity_index(f, ell_xy, polar, p)
+    assert len(centers) == len(candidates) + len(polar.infinity_points) > 1
 
 
 def test_chart_consistency_recorded(quintic_node, ell_xy):
@@ -131,8 +181,8 @@ def test_one_dim_component_attractor():
     assert rep.morse_number == 2
     affine = [a for a in rep.attractors if a.kind == "affine"]
     assert len(affine) == 1
-    assert affine[0].point.field.is_zero(affine[0].point.x)
-    assert affine[0].point.field.is_zero(affine[0].point.y)
+    p = affine[0].point
+    assert all(p.field.is_zero(c) for c in p.coords)
 
 
 def test_linear_f_has_no_morse_points():
@@ -150,7 +200,7 @@ def test_conjugate_expansion_counts(sextic_eight, ell_xy):
     rep = analyze_symbolic(sextic_eight, ell=ell_xy)
     inds = rep.individuals
     assert len(inds) == sum(a.n_points for a in rep.attractors)
-    assert sum(i.index for i in inds) == rep.morse_number
+    assert sum(i.parent.index for i in inds) == rep.morse_number
 
 
 def test_expand_individuals_with_alpha_zero():

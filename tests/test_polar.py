@@ -104,7 +104,7 @@ def test_singular_locus_origin(quintic_node):
     sl = singular_locus(quintic_node)
     assert len(sl.isolated_points) == 1
     p = sl.isolated_points[0]
-    assert p.field is QQ and p.x == rat(0) and p.y == rat(0)
+    assert p.field is QQ and p.coords == (rat(0), rat(0))
 
 
 def test_singular_locus_eight_points(sextic_eight):
@@ -113,14 +113,14 @@ def test_singular_locus_eight_points(sextic_eight):
     # each listed point annihilates both partials
     fx, fy = sextic_eight.diff(0), sextic_eight.diff(1)
     for p in sl.isolated_points:
-        assert p.field.is_zero(fx.to_field(p.field).eval((p.x, p.y)))
-        assert p.field.is_zero(fy.to_field(p.field).eval((p.x, p.y)))
+        assert p.field.is_zero(fx.to_field(p.field).eval(p.coords))
+        assert p.field.is_zero(fy.to_field(p.field).eval(p.coords))
 
 
 def test_singular_points_lie_on_polar(sextic_eight, ell_xy):
     pc = polar_of(sextic_eight, ell_xy)
     for p in singular_locus(sextic_eight).isolated_points:
-        val = pc.equation.to_field(p.field).eval((p.x, p.y))
+        val = pc.equation.to_field(p.field).eval(p.coords)
         assert p.field.is_zero(val)
 
 

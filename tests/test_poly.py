@@ -373,3 +373,24 @@ def test_common_zeros_cap():
     assert common_zeros(g1, parse_poly("3", V)) == (0, [])
     with pytest.raises(ValueError):
         common_zeros(g1, g1 * parse_poly("x", V))
+
+
+def test_pow_costs_the_binary_expansion(monkeypatch):
+    # p**k squares while bits remain and multiplies in the set bits after
+    # the first: bit_length(k) - 1 + popcount(k) - 1 products
+    p = parse_poly("x + y + 1", V)
+    real = Poly.__mul__
+    calls = []
+
+    def counted(a, b):
+        calls.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    expected = p
+    for k, cost in enumerate([0, 1, 2, 2, 3, 3, 4, 3], start=1):
+        calls.clear()
+        assert p ** k == expected
+        assert len(calls) == cost, k
+        expected = real(expected, p)
+    assert p ** 0 == Poly.const(QQ, 2, rat(1))

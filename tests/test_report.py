@@ -128,10 +128,8 @@ def test_minpoly_once_per_orbit_coordinate(monkeypatch, sextic_eight, ell_xy):
     for a in rep.attractors:
         p = a.point
         if p.field is not QQ:
-            if a.kind == "affine":
-                expected += [p.x, p.y]
-            elif p.u is not None:
-                expected.append(p.u)
+            # (x, y), or u of [u : 1 : 0]
+            expected += p.coords[:2 if p.chart is None else 1]
         if a.alpha_kind == "finite" and a.alpha_field is not QQ:
             expected.append(a.alpha_value)
             alphas += 1
@@ -157,7 +155,7 @@ def entry_cmp(a, b):
     def rank(ind):
         if ind.parent.kind == "affine":
             return 0
-        return 2 if ind.parent.point.u is None else 1
+        return 2 if ind.parent.point.chart == "x" else 1
 
     def numbers(ind):
         loc = () if rank(ind) == 2 else ind.location

@@ -78,3 +78,33 @@ def test_dataclass_fields_are_read():
     unread = [cf for source in sources for cf in dataclass_fields(source)
               if cf[1] not in read and cf not in UNREAD_FIELDS_ALLOWED]
     assert unread == []
+
+
+def calls_of(source, name):
+    """The top-level function or class around each call of ``name`` (or of
+    an attribute ``name``) in ``source``; None at module level."""
+    out = []
+    for top in ast.parse(source).body:
+        around = getattr(top, "name", None)
+        out.extend(around for node in ast.walk(top)
+                   if isinstance(node, ast.Call)
+                   and name in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None)))
+    return out
+
+
+def test_calls_are_found():
+    source = ("def f():\n    A(1)\n    m.A(2)\n"
+              "class C:\n    def g(self):\n        B(A)\n"
+              "A()\n")
+    assert calls_of(source, "A") == ["f", "f", None]
+    assert calls_of(source, "B") == ["C"]
+
+
+def test_one_constructor_per_class():
+    # every number field is made by fields.adjoin, every point class in polar
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert [(name, around) for name, source in sources.items()
+            for around in calls_of(source, "ExtensionField")] == [("fields.py", "adjoin")]
+    assert {name for name, source in sources.items()
+            if calls_of(source, "PointClass")} == {"polar.py"}

@@ -161,6 +161,8 @@ def chart_center(point, chart):
     i = 2 if chart is None else "xy".index(chart)
     if K.is_zero(coords[i]):
         return None
+    if K.eq(coords[i], K.one()):
+        return coords[:i] + coords[i + 1:]
     s = K.inv(coords[i])
     return tuple(K.mul(c, s) for j, c in enumerate(coords) if j != i)
 

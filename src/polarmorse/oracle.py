@@ -10,17 +10,28 @@ Each trajectory is classified as converging to an affine attractor or
 escaping to a direction at infinity (with its f-limit), and the cluster
 sizes are diffed against the symbolic indices.  Nothing here reuses
 series expansions: the oracle is an independent route to the same counts.
-A step is an Euler predictor, Newton in hardware floats, then Newton at
-the working precision from the refined point, or from the predictor's
-guess when that fails.  Every numeric evaluation goes through
-``poly.substitute``: a Newton step evaluates the gradient and the Hessian
-of f together, from one table of powers, with the coefficients converted
-once per track in each ring.
+A step is an Euler predictor, Newton in hardware floats, then a corrector
+at the working precision.  The float stage carries the step: the
+predictor's tangent comes from the Hessian inverted in floats, and the
+corrector applies the float inverse of the Hessian at the refined point,
+so the working precision evaluates only f_x and f_y and makes the update
+(iterative refinement, about 50 bits per iteration).  Distances between
+points are measured in floats unless they are at float round-off.  When
+the float stage fails (no float ring, t below the float range, the float
+Newton does not converge, the float Hessian is singular or not finite, or
+the fixed-inverse corrector does not converge within NEWTON_STEPS, as at
+a working precision too high for 50 bits per iteration to reach), the
+step is full Newton at the working precision from the refined point, or
+from the predictor's guess when that fails.  Every numeric evaluation goes through ``poly.substitute``: a Newton step
+evaluates the gradient and the Hessian of f together, from one table of
+powers, with the coefficients converted once per track in each ring.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 
@@ -34,6 +45,10 @@ DEFAULT_SCHEDULE = (rat(1, 100), rat(1, 1000), rat(1, 10000), rat(1, 100000))
 MAX_PRECISION = 4096
 NEWTON_STEPS = 16         # corrector iterations per step
 MAX_HALVINGS = 10         # step halvings between two record values of t
+# the distances floats resolve: above 2^-40 (3/4 of a float's 53 bits) of
+# a point, its round-off of about 2^-52 of the point is 2^-12 of a distance
+FLOAT_BITS = sys.float_info.mant_dig - sys.float_info.mant_dig // 4
+FLOAT_RESOLUTION = 2.0 ** -FLOAT_BITS
 
 
 @dataclass(frozen=True)
@@ -102,7 +117,30 @@ def _solve(zeros, prec):
     return pts
 
 
-def _dist(p, q):
+def _floats(p):
+    """p in hardware floats: ``complex`` for an mpc coordinate, so real
+    paths stay real, ``float`` for an mpf one."""
+    return tuple(complex(c) if isinstance(c, mpmath.mpc) else float(c)
+                 for c in p)
+
+
+def _dist(p, q, images=None):
+    """max(|p_x - q_x|, |p_y - q_y|), in hardware floats where they resolve
+    it, to about 2^-12 of itself: above FLOAT_RESOLUTION of the larger
+    point, both in the normal float range, and at a working precision whose
+    merge test in ``_gaps`` (2^(-prec/4) of a point) lies below
+    FLOAT_RESOLUTION, so that test reads a float only far from its bound.
+    Otherwise, and always for a distance at round-off, at the working
+    precision.  ``images`` are ``_floats`` of p and q when known."""
+    if mpmath.mp.prec // 4 > FLOAT_BITS:
+        pf, qf = images or (_floats(p), _floats(q))
+        try:
+            d = max(abs(pf[0] - qf[0]), abs(pf[1] - qf[1]))
+            size = max(abs(c) for c in pf + qf)
+        except OverflowError:
+            d = size = math.inf
+        if sys.float_info.min <= size and FLOAT_RESOLUTION * size < d < math.inf:
+            return d
     return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
 
 
@@ -115,6 +153,23 @@ def _hessian_solve(h11, h12, h22, u, v):
     return ((h22 * u - h12 * v) / det, (h11 * v - h12 * u) / det)
 
 
+def _float_inverse(system, p):
+    """The entries (i11, i12, i22) of the inverse of the Hessian of f at p,
+    evaluated and inverted in hardware floats; None without a float ring,
+    or when an entry is not finite (a singular Hessian, or p beyond the
+    float range)."""
+    polys, _, double = system
+    if double is None:
+        return None
+    try:
+        h11, h12, h22 = substitute(polys[2:], _floats(p), double[1])
+        det = h11 * h22 - h12 * h12
+        inverse = (h22 / det, -h12 / det, h11 / det)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    return inverse if all(map(cmath.isfinite, inverse)) else None
+
+
 def _ring(values, convert, prec):
     """A number ring for Newton: the rationals ``values`` taken into it by
     ``convert`` once, read back by (numerator, denominator), since hashing a
@@ -125,40 +180,67 @@ def _ring(values, convert, prec):
             convert(rat(1, 2 ** (prec // 2))), convert(rat(1, 2 ** (prec // 4))))
 
 
-def _newton(polys, ring, p, target):
-    """Newton on (f_x - t*a, f_y - t*b) from p in ``ring``, with ``target``
-    the rationals (t*a, t*b); None unless a correction falls to 2^(-prec/2)
-    of each coordinate (or 2^(-3prec/4) of the point, for a coordinate at
-    round-off)."""
-    convert, lift, eps, quarter = ring
+def _iterate(ring, p, target, correction):
+    """p less ``correction(p, t*a, t*b)`` in ``ring``, with ``target`` the
+    rationals (t*a, t*b), until a correction falls to 2^(-prec/2) of each
+    coordinate (or 2^(-3prec/4) of the point, for a coordinate at
+    round-off); None when a correction is None or grows, or after
+    NEWTON_STEPS."""
+    convert, _, eps, quarter = ring
     ta, tb = convert(target[0]), convert(target[1])
     last = None
     for _ in range(NEWTON_STEPS):
-        gx, gy, *hessian = substitute(polys, p, lift)
-        d = _hessian_solve(*hessian, gx - ta, gy - tb)
+        d = correction(p, ta, tb)
         if d is None:
             return None
         p = (p[0] - d[0], p[1] - d[1])
-        floor = max(abs(p[0]), abs(p[1])) * quarter
-        if all(abs(di) <= eps * max(abs(c), floor) for di, c in zip(d, p)):
+        sizes, steps = (abs(p[0]), abs(p[1])), (abs(d[0]), abs(d[1]))
+        floor = max(sizes) * quarter
+        if all(s <= eps * max(c, floor) for s, c in zip(steps, sizes)):
             return p
-        size = max(abs(d[0]), abs(d[1]))
+        size = max(steps)
         if last is not None and size > last:
             return None           # diverging: the step was too long
         last = size
     return None
 
 
+def _newton(polys, ring, p, target):
+    """Newton on (f_x - t*a, f_y - t*b) from p in ``ring``: each iteration
+    evaluates f_x, f_y and the Hessian from one table of powers."""
+    lift = ring[1]
+
+    def correction(p, ta, tb):
+        gx, gy, *hessian = substitute(polys, p, lift)
+        return _hessian_solve(*hessian, gx - ta, gy - tb)
+
+    return _iterate(ring, p, target, correction)
+
+
+def _correct(polys, ring, p, inverse, target):
+    """Newton on (f_x - t*a, f_y - t*b) from p in ``ring`` with the fixed
+    inverse Hessian ``inverse`` of ``_float_inverse``: each iteration
+    evaluates only f_x and f_y, and gains about 50 bits, the accuracy of the
+    inverse (iterative refinement)."""
+    lift = ring[1]
+    i11, i12, i22 = (mpmath.mpmathify(c) for c in inverse)
+
+    def correction(p, ta, tb):
+        gx, gy = substitute(polys[:2], p, lift)
+        u, v = gx - ta, gy - tb
+        return (i11 * u + i12 * v, i12 * u + i22 * v)
+
+    return _iterate(ring, p, target, correction)
+
+
 def _refine(system, p, t_next, target):
-    """p refined by Newton in floats (``complex`` for an mpc coordinate, so
-    real paths stay real); None when that fails or leaves the float range."""
+    """p refined by Newton in floats (``_floats``); None when that fails or
+    leaves the float range."""
     polys, _, double = system
     if double is None or t_next < sys.float_info.min:
         return None
-    start = tuple(complex(c) if isinstance(c, mpmath.mpc) else float(c)
-                  for c in p)
     try:
-        q = _newton(polys, double, start, target)
+        q = _newton(polys, double, _floats(p), target)
     except OverflowError:     # t*(a, b) or abs() beyond the float range
         return None
     return q and (mpmath.mpmathify(q[0]), mpmath.mpmathify(q[1]))
@@ -167,20 +249,37 @@ def _refine(system, p, t_next, target):
 def _carry(system, ell, p, t, t_next, gap, depth=0):
     """The point at t_next on the path through p at t, or None.
 
-    Euler predictor p + (t_next - t) H^-1 (a, b), then ``_refine``, then
-    Newton at the working precision from the refined point, or from the
-    predictor's guess when that fails.  The step is accepted when that
-    Newton converges within a quarter of ``gap``, the distance from p to
-    its nearest neighbour, of the guess; otherwise it is halved, at most
-    MAX_HALVINGS deep."""
-    polys, mp, _ = system
+    The float stage: the Euler predictor p + (t_next - t) H^-1 (a, b),
+    with H^-1 inverted in floats, then ``_refine``, then ``_correct`` at the
+    working precision with the float inverse of the Hessian at the refined
+    point.  When the
+    float stage does not run or any of these fails (``_correct`` also when
+    it cannot reach 2^(-prec/2) within NEWTON_STEPS), the step is Newton at
+    the working precision: the predictor with the Hessian at that precision,
+    ``_refine``, then ``_newton`` from the refined point, or from the
+    predictor's guess when that fails.  The step is accepted when the
+    corrector converges within a quarter of ``gap``, the distance from p to
+    its nearest neighbour, of the guess (both distances from ``_dist``);
+    otherwise it is halved, at most MAX_HALVINGS deep."""
+    polys, mp, double = system
     convert, lift, _, _ = mp
+    dt = convert(t_next - t)
+    target = (t_next * ell.a, t_next * ell.b)
+    tangent = _float_inverse(system, p)
+    if tangent:
+        i11, i12, i22 = tangent
+        a, b = double[1](ell.a), double[1](ell.b)
+        guess = (p[0] + dt * (i11 * a + i12 * b), p[1] + dt * (i12 * a + i22 * b))
+        refined = _refine(system, guess, t_next, target)
+        inverse = refined and _float_inverse(system, refined)
+        if inverse:
+            q = _correct(polys, mp, refined, inverse, target)
+            if q is not None and _dist(q, guess) < gap / 4:
+                return q
     v = _hessian_solve(*substitute(polys[2:], p, lift), lift(ell.a),
                        lift(ell.b))
     if v is not None:
-        dt = convert(t_next - t)
         guess = (p[0] + dt * v[0], p[1] + dt * v[1])
-        target = (t_next * ell.a, t_next * ell.b)
         refined = _refine(system, guess, t_next, target)
         for start in (refined, guess) if refined else (guess,):
             q = _newton(polys, mp, start, target)
@@ -198,8 +297,9 @@ def _gaps(points):
     points agree to a quarter of the working precision: two paths merged.
     Each pair's distance is computed once and given to both ends."""
     gaps = [mpmath.inf] * len(points)
+    images = [_floats(p) for p in points]
     for i, j in itertools.combinations(range(len(points)), 2):
-        d = _dist(points[i], points[j])
+        d = _dist(points[i], points[j], (images[i], images[j]))
         gaps[i], gaps[j] = min(gaps[i], d), min(gaps[j], d)
     for p, gap in zip(points, gaps):
         if gap <= mpmath.ldexp(max(abs(p[0]), abs(p[1])), -(mpmath.mp.prec // 4)):

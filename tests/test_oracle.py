@@ -1,16 +1,21 @@
+import cmath
 import math
+import random
 import signal
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
 from conftest import count_polyval
+from hypothesis import assume, given, settings, strategies as st
 
 from polarmorse import cli, oracle
-from polarmorse.fields import conj_key, rat
-from polarmorse.poly import parse_poly, substitute
+from polarmorse.fields import QQ, ExtensionTooLarge, conj_key, rat
+from polarmorse.poly import Poly, parse_poly, substitute
 from polarmorse.morse import analyze_symbolic
-from polarmorse.polar import LinearForm
+from polarmorse.polar import GenericityError, LinearForm
+from polarmorse.puiseux import DegenerateComposition
 from polarmorse.oracle import (DEFAULT_SCHEDULE, _dist, _refine_schedule,
                                _to_mpf, _track, classify_trajectories,
                                critical_points)
@@ -265,11 +270,15 @@ def _reference_gaps(points):
     return gaps
 
 
-def _reference_track(f, ell, fine, precision, double=True):
-    """The tracker with five separate evaluations per Newton step, each
-    converting every coefficient anew, every pairwise distance measured
-    from both of its ends and, with ``double``, each corrector started
-    from a Newton refinement in hardware floats when that converges."""
+def _reference_track(f, ell, fine, precision, double=True, fixed=True):
+    """The tracker with separate evaluations, each converting every
+    coefficient anew, and every pairwise distance measured from both of its
+    ends.  With ``double`` and ``fixed``, a step first tries the float
+    stage: the predictor's tangent and the Hessian's inverse in floats, a
+    Newton refinement in floats, and a corrector at the working precision
+    that evaluates only f_x and f_y.  When that fails, or without
+    ``fixed``, each Newton at the working precision starts from the
+    refinement in floats (with ``double``) and from the guess."""
     fx, fy = f.diff(0), f.diff(1)
     hessian = (fx.diff(0), fx.diff(1), fy.diff(1))
 
@@ -280,7 +289,7 @@ def _reference_track(f, ell, fine, precision, double=True):
             return None
         return ((h22 * u - h12 * v) / det, (h11 * v - h12 * u) / det)
 
-    def newton(p, t, lift, ldexp, prec):
+    def newton(p, t, lift, ldexp, prec, solve=solve):
         ta, tb = lift(t * ell.a), lift(t * ell.b)
         eps = ldexp(1, -(prec // 2))
         last = None
@@ -299,21 +308,48 @@ def _reference_track(f, ell, fine, precision, double=True):
             last = size
         return None
 
+    def floats(p):
+        return tuple(complex(c) if isinstance(c, mpmath.mpc) else float(c)
+                     for c in p)
+
     def refine(p, t):
         if not double or t < sys.float_info.min:
             return None
-        start = tuple(complex(c) if isinstance(c, mpmath.mpc) else float(c)
-                      for c in p)
         try:
-            q = newton(start, t, float, math.ldexp, 53)
+            q = newton(floats(p), t, float, math.ldexp, 53)
         except OverflowError:
             return None
         return q and tuple(mpmath.mpmathify(c) for c in q)
 
+    def float_inverse(p):
+        try:
+            h11, h12, h22 = (substitute(h, floats(p), float) for h in hessian)
+            det = h11 * h22 - h12 * h12
+            inverse = (h22 / det, -h12 / det, h11 / det)
+        except (OverflowError, ZeroDivisionError):
+            return None
+        return inverse if all(cmath.isfinite(c) for c in inverse) else None
+
+    def correct(p, t, inverse):
+        i11, i12, i22 = (mpmath.mpmathify(c) for c in inverse)
+        return newton(p, t, _to_mpf, mpmath.ldexp, mpmath.mp.prec,
+                      lambda p, u, v, lift: (i11 * u + i12 * v, i12 * u + i22 * v))
+
     def carry(p, t, t_next, gap, depth=0):
+        dt = _to_mpf(t_next - t)
+        tangent = double and fixed and float_inverse(p)
+        if tangent:
+            a, b = float(ell.a), float(ell.b)
+            guess = (p[0] + dt * (tangent[0] * a + tangent[1] * b),
+                     p[1] + dt * (tangent[1] * a + tangent[2] * b))
+            refined = refine(guess, t_next)
+            inverse = refined and float_inverse(refined)
+            if inverse:
+                q = correct(refined, t_next, inverse)
+                if q is not None and _dist(q, guess) < gap / 4:
+                    return q
         v = solve(p, _to_mpf(ell.a), _to_mpf(ell.b), _to_mpf)
         if v is not None:
-            dt = _to_mpf(t_next - t)
             guess = (p[0] + dt * v[0], p[1] + dt * v[1])
             refined = refine(guess, t_next)
             for start in ([refined] if refined else []) + [guess]:
@@ -354,6 +390,21 @@ def test_tracked_paths_unchanged(text, ell_xy, monkeypatch):
                                                             double=False)
 
 
+@pytest.mark.parametrize("text", ["x + x^2*y", "x*y + 1/3*x^3*y^2 + x^6",
+                                  "(x^2-2)^2 + (y^2-x)^2"])
+def test_fallback_is_full_newton(text, ell_xy, monkeypatch):
+    """Without a float inverse of the Hessian every step is Newton at the
+    working precision from the refined point, then from the guess, with
+    the predictor at the working precision: the points of the tracker
+    before the fixed-inverse corrector, bit for bit."""
+    f = parse_poly(text, V)
+    fine = _refine_schedule(DEFAULT_SCHEDULE)
+    full_newton = _reference_track(f, ell_xy, fine, 256, fixed=False)
+    assert full_newton != _reference_track(f, ell_xy, fine, 256)
+    monkeypatch.setattr(oracle, "_float_inverse", lambda *args: None)
+    assert _track(f, ell_xy, fine, 256) == full_newton
+
+
 def _count_newton_iterations(monkeypatch):
     """Count the working-precision Newton iterations from now on: the
     evaluations of f_x, f_y and the Hessian at an mpmath point."""
@@ -370,13 +421,115 @@ def _count_newton_iterations(monkeypatch):
 
 
 def test_working_precision_iterations(sextic_eight, ell_xy, monkeypatch):
-    # the double stage leaves about three working-precision iterations
-    # per step: 654 in all, against 892 with the predictor's guess alone
+    # full Newton iterations at the working precision are left only to the
+    # steps where the float stage fails: 234 in all, against 654 when every
+    # step ended in Newton from the float refinement and 892 with the
+    # predictor's guess alone
     rep = analyze_symbolic(sextic_eight, ell=ell_xy)
     counts = _count_newton_iterations(monkeypatch)
     v = classify_trajectories(sextic_eight, ell_xy, DEFAULT_SCHEDULE, rep)
     assert v.matched, v.mismatches
     assert 0 < len(counts) < 750
+
+
+def test_working_precision_evaluations(sextic_eight, ell_xy, monkeypatch):
+    # polynomials evaluated at an mpmath point, solve and classification
+    # included: 2,299 with the fixed-inverse corrector, which evaluates only
+    # f_x and f_y, against 3,859 with Newton on all five
+    rep = analyze_symbolic(sextic_eight, ell=ell_xy)
+    evaluations = []
+
+    def counted(p, args, lift, *ops):
+        if isinstance(args[0], (mpmath.mpf, mpmath.mpc)):
+            evaluations.append(len(p) if isinstance(p, tuple) else 1)
+        return substitute(p, args, lift, *ops)
+
+    monkeypatch.setattr(oracle, "substitute", counted)
+    v = classify_trajectories(sextic_eight, ell_xy, DEFAULT_SCHEDULE, rep)
+    assert v.matched, v.mismatches
+    assert 0 < sum(evaluations) <= 2400
+
+
+def test_fixed_inverse_falls_back_at_high_precision(cubic_tail, ell_xy,
+                                                    monkeypatch):
+    # 16 iterations of about 50 bits do not reach 2^-1024: at 2048 bits
+    # most fixed-inverse corrections give up, and those steps are the full
+    # Newton step of the reference
+    fine = _refine_schedule(DEFAULT_SCHEDULE)
+    correct, results = oracle._correct, []
+
+    def recorded(*args):
+        results.append(correct(*args))
+        return results[-1]
+
+    monkeypatch.setattr(oracle, "_correct", recorded)
+    points = _track(cubic_tail, ell_xy, fine, 2048)
+    assert sum(q is None for q in results) > len(results) / 2
+    assert points == _reference_track(cubic_tail, ell_xy, fine, 2048)
+
+
+@pytest.mark.parametrize("precision", [256, 128])
+def test_dist_in_floats(precision):
+    # a float distance is within 2^-12 of the working-precision one; a
+    # distance at or below 2^-40 of the larger point, and every distance
+    # where the merge test's 2^(-prec/4) is not below 2^-40, is the
+    # working-precision one
+    rng = random.Random(precision)
+    with mpmath.workprec(precision):
+        for _ in range(300):
+            scale = mpmath.mpf(10) ** rng.randint(-40, 40)
+            p = (mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * scale,
+                 mpmath.mpf(rng.uniform(-1, 1)) * scale)
+            step = mpmath.mpf(2) ** -rng.uniform(0, 80) * scale
+            q = (p[0] + step * mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                 p[1] + step * rng.uniform(-1, 1))
+            exact = max(abs(p[0] - q[0]), abs(p[1] - q[1]))
+            d = _dist(p, q)
+            assert abs(d - exact) <= 2 ** -12 * exact, (p, q)
+            if (exact <= 2 ** -40 * max(_norm(p), _norm(q))
+                    or precision // 4 <= 40):
+                assert d == exact and isinstance(d, mpmath.mpf), (p, q)
+
+
+@st.composite
+def sparse_sextics(draw):
+    """Inputs like the verify-d6 pool: degree 5-6, 3-5 monomials, one of
+    top degree, coefficients +-{1,2,3}/{1,2,3}."""
+    d = draw(st.integers(5, 6))
+    monos = [(i, j) for i in range(d + 1) for j in range(d + 1 - i) if i + j >= 1]
+    top = draw(st.sampled_from([e for e in monos if sum(e) == d]))
+    rest = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=4,
+                         unique=True).filter(lambda es: top not in es))
+    coeffs = st.builds(lambda s, n, m: s * Fraction(n, m), st.sampled_from((-1, 1)),
+                       st.integers(1, 3), st.integers(1, 3))
+    return Poly(QQ, 2, {e: draw(coeffs) for e in [top] + rest})
+
+
+@settings(max_examples=6, deadline=None)
+@given(sparse_sextics())
+def test_float_stage_keeps_verdict(f):
+    """The float stage moves no verdict, and the ends of the tracks with
+    and without it agree to 1e-30 of their size."""
+    try:
+        rep = analyze_symbolic(f)
+    except (GenericityError, ExtensionTooLarge, DegenerateComposition):
+        assume(False)
+    tracks = []
+
+    def recorded(*args):
+        tracks.append(_track(*args))
+        return tracks[-1]
+
+    verdicts = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_track", recorded)
+        verdicts.append(classify_trajectories(f, rep.ell, DEFAULT_SCHEDULE, rep))
+        mp.setattr(oracle, "_refine", lambda *args: None)
+        verdicts.append(classify_trajectories(f, rep.ell, DEFAULT_SCHEDULE, rep))
+    assert verdicts[0] == verdicts[1]
+    assert (tracks[0] is None) == (tracks[1] is None)
+    for a, b in zip(*(tracks if tracks[0] else ([], []))):
+        assert _dist(a[-1], b[-1]) <= 1e-30 * _norm(a[-1]), (a[-1], b[-1])
 
 
 def test_real_paths_stay_real(cubic_tail, ell_xy):
@@ -422,13 +575,21 @@ def test_low_precision_tracking(precision, code, line, capsys):
 
 
 def test_steps_end_at_working_precision(quintic_node, ell_xy, monkeypatch):
-    # every accepted step of a 32-bit run ends in a Newton at 32 bits
-    newton, carry = oracle._newton, oracle._carry
+    # every accepted step of a 32-bit run ends in a corrector at 32 bits:
+    # a Newton, or the fixed-inverse corrector
+    newton, correct, carry = oracle._newton, oracle._correct, oracle._carry
     corrected, accepted = [], []
 
     def recorded_newton(polys, ring, p, target):
         q = newton(polys, ring, p, target)
         if ring[0] is not float and q is not None:
+            assert mpmath.mp.prec == 32
+            corrected.append(q)
+        return q
+
+    def recorded_correct(polys, ring, p, inverse, target):
+        q = correct(polys, ring, p, inverse, target)
+        if q is not None:
             assert mpmath.mp.prec == 32
             corrected.append(q)
         return q
@@ -440,6 +601,7 @@ def test_steps_end_at_working_precision(quintic_node, ell_xy, monkeypatch):
         return q
 
     monkeypatch.setattr(oracle, "_newton", recorded_newton)
+    monkeypatch.setattr(oracle, "_correct", recorded_correct)
     monkeypatch.setattr(oracle, "_carry", recorded_carry)
     rep = analyze_symbolic(quintic_node, ell=ell_xy)
     v = classify_trajectories(quintic_node, ell_xy, DEFAULT_SCHEDULE, rep,

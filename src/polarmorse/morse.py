@@ -26,17 +26,14 @@ field and conjugate of alpha; the location of an individual is the point's
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 
 import mpmath
 
-from .fields import coerce, conj_key, on_grid
-from .poly import Poly, minpoly_over
-from .polar import (GenericityError, LinearForm, _common_zeros,
-                    check_genericity, draw_generic_ell, polar_equation,
-                    singular_locus)
+from .fields import DEFAULT_TOWER_CAP, coerce, conj_key, on_grid
+from .poly import Poly, common_zeros, minpoly_over
+from .polar import (GenericityError, LinearForm, PointClass, check_genericity,
+                    draw_generic_ell, polar_equation, singular_locus)
 from .puiseux import (DegenerateComposition, INFINITE, expand_branches,
                       poly_at_series, series_order_after_limit)
 from .series import LaurentSeries, SeriesPrecisionLoss
@@ -96,26 +93,22 @@ def safety_bound(f, polar):
     return d * (2 * d - 1) + d + 1
 
 
-def affine_candidates(polar, sing):
-    """Points of Sing f that can absorb Morse points: the isolated singular
-    points on the polar curve, and the points where the polar curve meets
-    the one-dimensional components of Sing f.
+def affine_candidates(f, ell, polar):
+    """The affine points that can absorb Morse points, as (PointClass, m)
+    pairs: one per orbit of the common zeros of the polar curve Γ and
+    h = f_x, or f_y when ell = b*y, with m their intersection number.
 
-    Every Morse-point trajectory stays on the polar curve, so its affine
-    limit on a component lies in polar ∩ Sing f; spurious members of this
-    finite set simply receive index 0.  One elimination against the
-    product of the components finds each point once, also where two
-    components meet: the polar equation drops every factor dividing both
-    partials, so it is coprime to that product, and ``singular_locus``
-    already leaves the points on a component out of the isolated ones.
-    Every isolated point is on the polar curve: a*f_y - b*f_x vanishes
-    there, and none of the component factors it drops does."""
-    out = list(sing.isolated_points)
-    if sing.one_dim_components:
-        out.extend(_common_zeros(polar.equation,
-                                 functools.reduce(operator.mul,
-                                                  sing.one_dim_components)))
-    return out
+    On Γ, a*f_y = b*f_x, so along a branch γ, d(f∘γ) = (f_x/a)·d(ell∘γ)
+    and ord(f - f(p)) - ord(ell - ell(p)) = ord(h∘γ): summed over the
+    branches at p, the index is m = (Γ·{h = 0})_p, the Milnor number at an
+    isolated point of Sing f (Teissier 1973).  Γ and h share no curve:
+    a factor of Γ that divides h divides both partials, and
+    ``polar_equation`` drops it.  So Γ ∩ {h = 0}, which is Γ ∩ Sing f,
+    is finite, and every Morse-point trajectory with an affine limit ends
+    there."""
+    h = f.diff(0) if ell.a != 0 else f.diff(1)
+    return [(PointClass.affine(g, xr, yr), m) for g, xr, yr, m
+            in common_zeros(polar.equation, h, DEFAULT_TOWER_CAP)[1]]
 
 
 def _expand_retry(germ, compute, bound):
@@ -254,10 +247,18 @@ def total_morse_number(attractors):
     return sum(a.total() for a in attractors)
 
 
-def compute_attractors(f, ell, polar, sing):
-    """All attractor records for an accepted (f, ell)."""
-    out = [affine_index(f, ell, polar, p)
-           for p in affine_candidates(polar, sing)]
+def compute_attractors(f, ell, polar):
+    """All attractor records for an accepted (f, ell).  The index of each
+    affine record, from the polar branches, must be the intersection
+    number m of its candidate, and positive."""
+    out = []
+    for p, m in affine_candidates(f, ell, polar):
+        record = affine_index(f, ell, polar, p)
+        if m < 1 or record.index != m:
+            raise AssertionError(
+                "index %d at %s is not the intersection number %d"
+                % (record.index, p.coords_str(), m))
+        out.append(record)
     for ip in polar.infinity_points:
         out.extend(infinity_index(f, ell, polar, ip))
     return out
@@ -306,9 +307,9 @@ def _orbit_individuals(a):
                                  if E[:len(emb)] == emb}, key=conj_key)
             out.extend(IndividualAttractor(a, loc, al)
                        for al in alphas)
-        assert len(out) == a.n_points, (
-            "orbit of %d points expanded to %d individuals"
-            % (a.n_points, len(out)))
+        if len(out) != a.n_points:
+            raise AssertionError("orbit of %d points expanded to %d individuals"
+                                 % (a.n_points, len(out)))
         return sorted(out, key=_individual_key)
 
 
@@ -333,7 +334,7 @@ def analyze_symbolic(f, ell=None, seed=0, max_redraws=16):
     ``redraws`` of the accepted report is the index of its draw."""
     if f.is_constant():
         raise ValueError("a constant polynomial has no Morse points")
-    sing = singular_locus(f)
+    components = singular_locus(f)
     explicit = ell is not None
     if explicit:
         candidates, seed = [(0, ell)], None
@@ -341,14 +342,14 @@ def analyze_symbolic(f, ell=None, seed=0, max_redraws=16):
         candidates = draw_generic_ell(seed, max_redraws)
     report = None
     for i, cand in candidates:
-        polar = polar_equation(f, cand, sing)
-        report = check_genericity(cand, sing, polar)
+        polar = polar_equation(f, cand, components)
+        report = check_genericity(cand, components, polar)
         report.redraws = i
         report.seed = seed
         if not report.accepted():
             continue
         try:
-            attractors = compute_attractors(f, cand, polar, sing)
+            attractors = compute_attractors(f, cand, polar)
         except DegenerateComposition:
             report.no_degenerate_compositions = False
             continue

@@ -4,8 +4,10 @@ For f in two variables and a linear form ell = a*x + b*y, the polar
 curve is the closure of the locus where grad f is parallel to (a, b)
 away from Sing f: the squarefree part of a*f_y - b*f_x without the
 one-dimensional components of Sing f, the irreducible factors that
-divide both partials.  The isolated points of Sing f and the points of
-the polar curve on its components come from ``poly.common_zeros``.
+divide both partials; ``singular_locus`` gives those components alone.
+The points of Sing f on the polar curve, its isolated points among
+them, are the common zeros of the polar curve and one partial
+(``morse.affine_candidates``).
 Each Galois orbit of points of P^2 is one ``PointClass``: the field of
 one representative, whose total degree is the number of points, and the
 representative's ``coords``, (x, y) or (u, 1, 0) or (1, 0, 0).  Its
@@ -22,8 +24,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .fields import DEFAULT_TOWER_CAP, QQ, adjoin, rat
-from .poly import Poly, common_zeros, exact_div, factor_qq, gcd_qq
+from .fields import QQ, adjoin, rat
+from .poly import Poly, factor_qq, gcd_qq
 
 
 class GenericityError(Exception):
@@ -72,6 +74,13 @@ class PointClass:
             return None
         return "x" if self.field.is_zero(self.coords[1]) else "y"
 
+    @classmethod
+    def affine(cls, g, xr, yr):
+        """The affine orbit over the roots X of g, irreducible over Q, at
+        (xr(X), yr(X)), with xr and yr residues mod g in Q[X]."""
+        K, X = adjoin(QQ, g.coeffs_in(0), "r")
+        return cls(K, tuple(r.to_field(K).eval((X,)) for r in (xr, yr)))
+
     def coords_str(self):
         fmt = "(%s, %s)" if len(self.coords) == 2 else "[%s : %s : %s]"
         return fmt % tuple(map(self.field.elem_str, self.coords))
@@ -85,12 +94,6 @@ class PolarCurve:
 
     def is_empty(self):
         return self.equation.is_constant()
-
-
-@dataclass(frozen=True)
-class SingularLocus:
-    isolated_points: tuple      # affine PointClass
-    one_dim_components: tuple   # reduced irreducible Poly
 
 
 @dataclass
@@ -111,8 +114,9 @@ def _raw_polar(f, ell):
     return fy.scale(rat(ell.a)) - fx.scale(rat(ell.b))
 
 
-def polar_equation(f, ell, sing):
-    """The polar curve of f with respect to ell, given Sing f.
+def polar_equation(f, ell, components):
+    """The polar curve of f with respect to ell, given the one-dimensional
+    components of Sing f.
 
     The raw polar a*f_y - b*f_x is factored once.  A factor of it divides
     both partials exactly when it divides their gcd, that is when it is a
@@ -132,7 +136,7 @@ def polar_equation(f, ell, sing):
         return PolarCurve(eq, (), True)
     _c, facs = factor_qq(raw)
     for fac, _m in facs:
-        if fac not in sing.one_dim_components:
+        if fac not in components:
             eq = eq * fac
     squarefree = all(m == 1 for _fac, m in facs)
     if eq.is_constant():
@@ -159,42 +163,26 @@ def _top_form_roots(eq):
 
 
 def singular_locus(f):
-    """Isolated points and one-dimensional components of Sing f."""
+    """The one-dimensional components of Sing f: the irreducible factors
+    of gcd(f_x, f_y), as ``factor_qq`` normalizes them."""
     if f.is_constant():
         raise ValueError("singular locus of a constant polynomial")
-    fx, fy = f.diff(0), f.diff(1)
-    comp = gcd_qq(fx, fy)
+    comp = gcd_qq(f.diff(0), f.diff(1))
     if comp.is_constant():
-        return SingularLocus(tuple(_common_zeros(fx, fy)), ())
-    points = _common_zeros(exact_div(fx, comp), exact_div(fy, comp), comp)
-    return SingularLocus(tuple(points),
-                         tuple(fac for fac, _m in factor_qq(comp)[1]))
+        return ()
+    return tuple(fac for fac, _m in factor_qq(comp)[1])
 
 
-def _common_zeros(g1, g2, exclude=None):
-    """The common zeros of two coprime bivariate polynomials, one
-    ``PointClass`` per orbit of ``poly.common_zeros``, except those
-    on the curve ``exclude`` = 0 (on a component, not isolated).  The
-    coordinates are the residues of the orbit evaluated at X, the root of
-    g that ``adjoin`` gives."""
-    out = []
-    for g, xr, yr, _m in common_zeros(g1, g2, DEFAULT_TOWER_CAP)[1]:
-        K, X = adjoin(QQ, g.coeffs_in(0), "r")
-        x, y = (r.to_field(K).eval((X,)) for r in (xr, yr))
-        if exclude is None or not K.is_zero(exclude.to_field(K).eval((x, y))):
-            out.append(PointClass(K, (x, y)))
-    return out
-
-
-def check_genericity(ell, sing, polar):
+def check_genericity(ell, components, polar):
     """A-posteriori genericity flags for a candidate linear form, given
-    Sing f and the polar curve of (f, ell)."""
+    the one-dimensional components of Sing f and the polar curve of
+    (f, ell)."""
     if polar.equation.is_zero():
         return GenericityReport(False, False)
     # the point {ell = 0} ∩ {z = 0} is [b : -a : 0]
     pb, pa = rat(ell.b), QQ.neg(rat(ell.a))
     forms = [] if polar.is_empty() else [polar.equation]
-    forms += list(sing.one_dim_components)
+    forms += list(components)
     avoided = not any(QQ.is_zero(g.top_form().eval((pb, pa))) for g in forms)
     return GenericityReport(polar.squarefree, avoided)
 

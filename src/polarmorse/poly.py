@@ -621,12 +621,14 @@ def _trager_factor_squarefree(p):
     _, nfacs = factor_univariate(norm)
     out = []
     for nf, m in nfacs:
-        assert m == 1
+        if m != 1:
+            raise ArithmeticError("the norm has a repeated factor")
         cand = nf.to_field(K).translate((shift,))     # N_i(y - lam*theta)
         g = gcd_univar(p, cand)
         if g.degree_in(0) > 0:
             out.append(g)
-    assert sum(g.degree_in(0) for g in out) == p.degree_in(0)
+    if sum(g.degree_in(0) for g in out) != p.degree_in(0):
+        raise ArithmeticError("the norm factors do not split p")
     return out
 
 

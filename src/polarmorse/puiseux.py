@@ -85,7 +85,8 @@ def _edge_data(F, a_pt, b_pt):
     on_edge = {e: c for e, c in F.terms.items() if q * e[0] + p * e[1] == weight}
     # a*q - b*p = 1
     gg, a, minus_b = _ext_gcd(q, p)
-    assert gg == 1
+    if gg != 1:
+        raise AssertionError("edge slope %d/%d not in lowest terms" % (p, q))
     b = -minus_b
     return p, q, a, b, weight, on_edge
 
@@ -118,7 +119,8 @@ def _duval_substitute(F, field, c0, p, q, a, b, weight):
     x1 = Poly(field, 2, {(q, 0): field.pow(c0, b)})
     y1 = Poly(field, 2, {(p, 1): field.one(), (p, 0): field.pow(c0, a)})
     G = F.compose((x1, y1))
-    assert all(i >= weight for i, _j in G.terms)
+    if any(i < weight for i, _j in G.terms):
+        raise AssertionError("a term of the substitution lies below the edge")
     return Poly(field, 2, {(i - weight, j): c for (i, j), c in G.terms.items()})
 
 

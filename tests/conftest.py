@@ -66,6 +66,23 @@ def count_polyval(monkeypatch):
     return calls
 
 
+def random_acceptance_f(rng):
+    """A random input of the acceptance suite's conservation corpus: each
+    monomial of total degree at most 4 with probability 0.45, coefficient
+    +-1..9 over 1..9; total degree at least 2."""
+    while True:
+        terms = {}
+        for i in range(5):
+            for j in range(5 - i):
+                if rng.random() < 0.45:
+                    num = rng.randint(-9, 9)
+                    if num:
+                        terms[(i, j)] = rat(num, rng.randint(1, 9))
+        f = Poly(QQ, 2, terms)
+        if f.total_degree() >= 2:
+            return f
+
+
 def count_vanishing_solutions(g_order, h_order):
     """Number of nonzero roots of g - t*h converging to 0 as t -> 0."""
     return g_order - h_order if g_order >= h_order else 0

@@ -13,7 +13,8 @@ import time
 import mpmath
 import pytest
 
-from conftest import branch_residual, count_vanishing_solutions
+from conftest import (branch_residual, count_vanishing_solutions,
+                      random_acceptance_f)
 from polarmorse.fields import QQ, rat
 from polarmorse.poly import Poly, minpoly_over, parse_poly, poly_str
 from polarmorse.polar import LinearForm, polar_equation, singular_locus
@@ -102,20 +103,6 @@ def test_criterion_3_sextic_golden(golden):
 # criterion 4: conservation against the oracle on random inputs
 # --------------------------------------------------------------------------
 
-def _random_f(rng):
-    while True:
-        terms = {}
-        for i in range(5):
-            for j in range(5 - i):
-                if rng.random() < 0.45:
-                    num = rng.randint(-9, 9)
-                    if num:
-                        terms[(i, j)] = rat(num, rng.randint(1, 9))
-        f = Poly(QQ, 2, terms)
-        if f.total_degree() >= 2:
-            return f
-
-
 @pytest.fixture(scope="module")
 def random_suite():
     from polarmorse.polar import GenericityError
@@ -126,7 +113,7 @@ def random_suite():
     while len(runs) < RANDOM_TRIALS:
         attempts += 1
         assert attempts <= 3 * RANDOM_TRIALS, "too many rejected random inputs"
-        f = _random_f(rng)
+        f = random_acceptance_f(rng)
         try:
             rep = analyze_symbolic(f, seed=attempts)
         except GenericityError:

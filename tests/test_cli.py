@@ -6,7 +6,7 @@ import pathlib
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from polarmorse import cli
+from polarmorse import cli, morse
 from polarmorse.fields import rat
 from polarmorse.morse import analyze_symbolic
 from polarmorse.oracle import DEFAULT_SCHEDULE, classify_trajectories
@@ -184,6 +184,22 @@ def test_analysis_value_error_is_internal_error(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 1
     assert out == ""
     assert err == "internal error: the two polynomials share a curve component\n"
+
+
+def test_index_off_the_intersection_number_is_internal_error(capsys, monkeypatch):
+    # an affine index that differs from the candidate's intersection
+    # number m fails the analysis, on one line
+    real = morse.affine_candidates
+
+    def off_by_one(*args):
+        return [(p, m + 1) for p, m in real(*args)]
+
+    monkeypatch.setattr(morse, "affine_candidates", off_by_one)
+    code, out, err = run_cli(capsys, "--f", "x*y + 1/3*x^3*y^2", "--ell", "x + y")
+    assert code == cli.EXIT_INTERNAL == 1
+    assert out == ""
+    assert err == ("internal error: index 1 at (0, 0) is not the "
+                   "intersection number 2\n")
 
 
 def test_linear_f(capsys):

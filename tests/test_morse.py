@@ -1,11 +1,16 @@
+import functools
+import operator
 import random
 import sys
 
+import mpmath
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
+from conftest import random_acceptance_f
 from polarmorse import morse, polar
-from polarmorse.fields import QQ, rat
-from polarmorse.poly import Poly, parse_poly
+from polarmorse.fields import EMBED_DPS, QQ, ExtensionTooLarge, conj_key, rat
+from polarmorse.poly import Poly, common_zeros, exact_div, gcd_qq, parse_poly
 from polarmorse.polar import (GenericityError, LinearForm, PointClass, polar_equation,
                               singular_locus)
 from polarmorse.morse import (affine_candidates, affine_index, analyze_symbolic,
@@ -62,11 +67,10 @@ def test_sextic_report(sextic_eight, ell_xy):
 
 
 def test_affine_candidates_restricted_to_polar(quintic_node, ell_xy):
-    sing = singular_locus(quintic_node)
-    polar = polar_equation(quintic_node, ell_xy, sing)
-    cands = affine_candidates(polar, sing)
+    polar = polar_equation(quintic_node, ell_xy, singular_locus(quintic_node))
+    cands = affine_candidates(quintic_node, ell_xy, polar)
     assert len(cands) == 1
-    assert cands[0].coords == (rat(0), rat(0))
+    assert cands[0][0].coords == (rat(0), rat(0))
 
 
 def test_affine_candidates_where_components_meet():
@@ -74,12 +78,120 @@ def test_affine_candidates_where_components_meet():
     # the polar curve; (-2/5, -2/5) is an isolated singular point
     f = parse_poly("x^2*y^2*(x + y + 1)", V)
     ell = LinearForm(rat(1), rat(2))
-    sing = singular_locus(f)
-    cands = affine_candidates(polar_equation(f, ell, sing), sing)
+    cands = [p for p, _m in
+             affine_candidates(f, ell, polar_equation(f, ell, singular_locus(f)))]
     coords = [c.coords for c in cands]
     assert all(c.field is QQ for c in cands)
     assert sorted(coords) == [(rat(-1), rat(0)), (rat(-2, 5), rat(-2, 5)),
                               (rat(0), rat(-1)), (rat(0), rat(0))]
+
+
+def reference_candidates(f, polar_curve):
+    """The affine candidates by two eliminations: the common zeros of the
+    partials divided by their gcd that lie on no component of Sing f, and
+    the points of the polar curve on the components."""
+    fx, fy = f.diff(0), f.diff(1)
+    comp = gcd_qq(fx, fy)
+    product = functools.reduce(operator.mul, singular_locus(f), Poly.const(QQ, 2, rat(1)))
+    isolated = [PointClass.affine(g, xr, yr) for g, xr, yr, _m
+                in common_zeros(exact_div(fx, comp), exact_div(fy, comp))[1]]
+    on_components = [PointClass.affine(g, xr, yr) for g, xr, yr, _m
+                     in common_zeros(polar_curve.equation, product)[1]]
+    return [p for p in isolated
+            if not p.field.is_zero(product.to_field(p.field).eval(p.coords))
+            ] + on_components
+
+
+def grid_points(points):
+    """The points of the orbits under every embedding, on the ``conj_key``
+    grid; no point twice.  The coordinates are evaluated at the digits of
+    the embeddings: at 40, a residue with large coefficients can miss the
+    1e-30 grid."""
+    out = set()
+    with mpmath.workdps(EMBED_DPS):
+        for p in points:
+            for emb in p.field.embeddings():
+                out.add(tuple(conj_key(p.field.to_mpc(c, emb)) for c in p.coords))
+    assert len(out) == sum(p.field.total_degree for p in points)
+    return out
+
+
+def check_candidates(f, seed):
+    """One elimination finds the points of two, and each m is the index."""
+    try:
+        ell = analyze_symbolic(f, seed=seed).ell
+    except (GenericityError, ExtensionTooLarge):
+        assume(False)
+    polar_curve = polar_equation(f, ell, singular_locus(f))
+    cands = affine_candidates(f, ell, polar_curve)
+    event("affine points: %d" % sum(p.field.total_degree for p, _m in cands))
+    assert (grid_points([p for p, _m in cands])
+            == grid_points(reference_candidates(f, polar_curve)))
+    for p, m in cands:
+        assert m >= 1
+        assert affine_index(f, ell, polar_curve, p).index == m
+
+
+def poly_from(terms):
+    return Poly(QQ, 2, {e: rat(c) for e, c in terms.items() if c})
+
+
+@st.composite
+def dense_polys(draw):
+    """Dense polynomials of total degree 1 or 2, integer coefficients in
+    -2..2, as in the benchmark's non-reduced corpus; one top-degree
+    monomial is sure to be present."""
+    degree = draw(st.integers(1, 2))
+    monos = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    terms = dict(zip(monos, draw(st.lists(st.integers(-2, 2), min_size=len(monos),
+                                          max_size=len(monos)))))
+    top = draw(st.integers(0, degree))
+    terms[(top, degree - top)] = draw(st.sampled_from([-2, -1, 1, 2]))
+    return poly_from(terms)
+
+
+@st.composite
+def non_tame_polys(draw):
+    """x^i*y^j plus up to four terms of lower total degree: the top form
+    vanishes at [1 : 0 : 0] and [0 : 1 : 0], so f is not tame."""
+    i, j = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    lower = [(a, b) for a in range(i + j) for b in range(i + j - a)]
+    terms = draw(st.dictionaries(st.sampled_from(lower),
+                                 st.builds(rat, st.integers(-3, 3), st.integers(1, 2)),
+                                 max_size=4))
+    terms[(i, j)] = 1
+    return poly_from(terms)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2 ** 16))
+def test_affine_candidates_acceptance_inputs(seed):
+    check_candidates(random_acceptance_f(random.Random(seed)), seed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(dense_polys(), dense_polys(), st.integers(0, 99))
+def test_affine_candidates_nonreduced_inputs(p, q, seed):
+    check_candidates(p * p * q, seed)
+
+
+@settings(max_examples=20, deadline=None)
+@given(non_tame_polys(), st.integers(0, 99))
+def test_affine_candidates_non_tame_inputs(f, seed):
+    check_candidates(f, seed)
+
+
+@pytest.mark.parametrize("text, ell, morse_number", [
+    # ell = y: the candidates are the zeros of the polar curve and f_y
+    ("x*y + 1/3*x^3*y^2 + x^6", LinearForm(rat(0), rat(1)), 9),
+    ("(x^2 - y^3)^2*(x + 2*y + 1)", LinearForm(rat(1), rat(0)), 14)],
+    ids=["sextic_ell_y", "cusp_squared_ell_x"])
+def test_candidates_along_an_axis(text, ell, morse_number):
+    f = parse_poly(text, V)
+    assert analyze_symbolic(f, ell=ell).morse_number == morse_number
+    polar_curve = polar_equation(f, ell, singular_locus(f))
+    for p, m in affine_candidates(f, ell, polar_curve):
+        assert affine_index(f, ell, polar_curve, p).index == m >= 1
 
 
 def test_affine_contributions_nonnegative(sextic_eight, ell_xy):
@@ -120,9 +232,8 @@ def test_one_translate_per_expansion_center(monkeypatch, request, ell_xy, name):
     # the germ of the polar curve is the one polynomial moved to a center;
     # f and ell are composed at center + branch
     f = request.getfixturevalue(name)
-    sing = singular_locus(f)
-    polar = polar_equation(f, ell_xy, sing)
-    candidates = affine_candidates(polar, sing)
+    polar = polar_equation(f, ell_xy, singular_locus(f))
+    candidates = [p for p, _m in affine_candidates(f, ell_xy, polar)]
     real = Poly.translate
     centers = []
 
@@ -290,11 +401,11 @@ def test_degenerate_composition_takes_next_draw(monkeypatch, cubic_tail):
     orig = morse.compute_attractors
     tried = []
 
-    def degenerate_first(f, ell, polar_curve, sing):
+    def degenerate_first(f, ell, polar_curve):
         tried.append((ell.a, ell.b))
         if len(tried) == 1:
             raise DegenerateComposition("forced")
-        return orig(f, ell, polar_curve, sing)
+        return orig(f, ell, polar_curve)
 
     monkeypatch.setattr(morse, "compute_attractors", degenerate_first)
     rep = analyze_symbolic(cubic_tail, seed=5)

@@ -3,8 +3,9 @@ import pytest
 from conftest import divides, squarefree_part
 from polarmorse.fields import QQ, rat
 from polarmorse.poly import Poly, factor_qq, parse_poly
-from polarmorse.polar import (LinearForm, SingularLocus, check_genericity,
-                              draw_generic_ell, polar_equation, singular_locus)
+from polarmorse.morse import affine_candidates
+from polarmorse.polar import (LinearForm, check_genericity, draw_generic_ell,
+                              polar_equation, singular_locus)
 
 V = ("x", "y")
 
@@ -56,8 +57,8 @@ def test_polar_factors_divide_raw_and_not_both_partials(text, ell_xy):
     # the equation is the product of the factors of the raw polar that do
     # not divide both partials; those that do are the curves of Sing f
     f = parse_poly(text, V)
-    sing = singular_locus(f)
-    pc = polar_equation(f, ell_xy, sing)
+    components = singular_locus(f)
+    pc = polar_equation(f, ell_xy, components)
     fx, fy = f.diff(0), f.diff(1)
     raw = fy - fx
     expected = Poly.const(QQ, 2, rat(1))
@@ -69,7 +70,7 @@ def test_polar_factors_divide_raw_and_not_both_partials(text, ell_xy):
             expected = expected * fac
     assert pc.equation == expected
     assert divides(pc.equation, raw)
-    assert dropped == len(sing.one_dim_components)
+    assert dropped == len(components)
 
 
 def test_infinity_points_cubic(cubic_tail, ell_xy):
@@ -94,45 +95,45 @@ def test_infinity_degrees_sum_to_degree(quintic_node, sextic_eight, ell_xy):
                 == top.total_degree())
 
 
-def test_singular_locus_empty(cubic_tail):
-    sl = singular_locus(cubic_tail)
-    assert sl.isolated_points == ()
-    assert sl.one_dim_components == ()
+def test_singular_locus_empty(cubic_tail, ell_xy):
+    assert singular_locus(cubic_tail) == ()
+    assert affine_candidates(cubic_tail, ell_xy, polar_of(cubic_tail, ell_xy)) == []
 
 
-def test_singular_locus_origin(quintic_node):
-    sl = singular_locus(quintic_node)
-    assert len(sl.isolated_points) == 1
-    p = sl.isolated_points[0]
+def test_singular_locus_origin(quintic_node, ell_xy):
+    # the node at the origin is the one point of Sing f, of Milnor number 1
+    (cand,) = affine_candidates(quintic_node, ell_xy, polar_of(quintic_node, ell_xy))
+    p, m = cand
     assert p.field is QQ and p.coords == (rat(0), rat(0))
+    assert m == 1
 
 
-def test_singular_locus_eight_points(sextic_eight):
-    sl = singular_locus(sextic_eight)
-    assert sum(p.field.total_degree for p in sl.isolated_points) == 8
+def test_singular_locus_eight_points(sextic_eight, ell_xy):
+    cands = affine_candidates(sextic_eight, ell_xy, polar_of(sextic_eight, ell_xy))
+    assert sum(p.field.total_degree for p, _m in cands) == 8
+    assert all(m == 1 for _p, m in cands)
     # each listed point annihilates both partials
     fx, fy = sextic_eight.diff(0), sextic_eight.diff(1)
-    for p in sl.isolated_points:
+    for p, _m in cands:
         assert p.field.is_zero(fx.to_field(p.field).eval(p.coords))
         assert p.field.is_zero(fy.to_field(p.field).eval(p.coords))
 
 
 def test_singular_points_lie_on_polar(sextic_eight, ell_xy):
     pc = polar_of(sextic_eight, ell_xy)
-    for p in singular_locus(sextic_eight).isolated_points:
+    for p, _m in affine_candidates(sextic_eight, ell_xy, pc):
         val = pc.equation.to_field(p.field).eval(p.coords)
         assert p.field.is_zero(val)
 
 
 def test_one_dim_component_detected():
-    sl = singular_locus(parse_poly("x^2*y", V))
-    assert len(sl.one_dim_components) == 1
-    assert sl.one_dim_components[0].total_degree() == 1
+    (component,) = singular_locus(parse_poly("x^2*y", V))
+    assert component.total_degree() == 1
 
 
 def genericity(f, ell):
-    sing = singular_locus(f)
-    return check_genericity(ell, sing, polar_equation(f, ell, sing))
+    components = singular_locus(f)
+    return check_genericity(ell, components, polar_equation(f, ell, components))
 
 
 def test_genericity_accepts_good_pair(cubic_tail, ell_xy):
@@ -176,13 +177,13 @@ def test_polar_records_squarefree_flag(ell_xy):
 def test_polar_of_a_function_of_ell_is_zero():
     f = parse_poly("(x + 2*y)^3 + x + 2*y", V)
     ell = LinearForm(rat(1), rat(2))
-    sing = singular_locus(f)
-    pc = polar_equation(f, ell, sing)
+    components = singular_locus(f)
+    pc = polar_equation(f, ell, components)
     assert pc.equation.is_zero() and not pc.squarefree
-    rep = check_genericity(ell, sing, pc)
+    rep = check_genericity(ell, components, pc)
     assert not (rep.polar_squarefree or rep.ell_avoids_infinity_points)
 
 
 def test_polar_constant_rejected(ell_xy):
     with pytest.raises(ValueError):
-        polar_equation(parse_poly("5", V), ell_xy, SingularLocus((), ()))
+        polar_equation(parse_poly("5", V), ell_xy, ())

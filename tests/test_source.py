@@ -35,6 +35,14 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    # ``python -O`` strips assert statements; a check raises explicitly
+    asserts = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []
+
+
 #: Dataclass fields that no code in the package reads, each with the reader
 #: that keeps it.  ``BranchContribution.branch``: criterion 8 of
 #: ``tests/test_acceptance.py`` reads each contribution's branch.

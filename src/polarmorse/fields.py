@@ -4,10 +4,13 @@ Coefficients throughout the symbolic pipeline are exact: rationals at the
 bottom, and elements of iterated extensions Q(g1)(g2)... above.  An
 extension element is stored as a coordinate tuple over the power basis of
 its top generator, with entries in the field one level down, so an element
-of a simple extension Q(g) is a tuple of ``Fraction``.  A product in Q(g)
-is computed on integers over one common denominator and normalized once per
-coordinate; a field over an extension multiplies with the operations of its
-base.  A field is only its definition; its numeric embeddings (one complex
+of a simple extension Q(g) is a tuple of ``Fraction``.  Over Q(g) the hot
+operations run on Python integers: a product is computed over one common
+denominator and normalized once per coordinate, an inverse solves the
+system of multiplication by fraction-free elimination, and the product of
+two series sums all pairs of one exponent before one reduction.  A field
+over an extension uses the operations of its base.  A field is only its
+definition; its numeric embeddings (one complex
 root per generator) are computed on first use and kept, so that elements
 can be approximated, compared against numerics, and serialized
 deterministically.  Numbers are sorted and deduplicated by one key,
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import mpmath
 
@@ -275,13 +278,60 @@ def on_grid(z):
         return mpmath.mpc(re, im) / 10 ** 30
 
 
+def int_coords(a):
+    """(den, integer coordinates) of a tuple of ``Fraction``: den is the
+    lcm of the denominators, and a = coordinates/den."""
+    den = lcm(*(x.denominator for x in a))
+    return den, [x.numerator * (den // x.denominator) for x in a]
+
+
+def convolve_into(out, na, nb):
+    """Add the integer polynomial product na*nb into ``out``."""
+    for i, x in enumerate(na):
+        if x:
+            for j, y in enumerate(nb):
+                out[i + j] += x * y
+
+
+def solve_fraction_free(rows):
+    """Solve A y = b for the augmented integer rows [A | b], A square, by
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968): every
+    division is exact, so entries stay integers no larger than minors of
+    [A | b].  Returns (num, det) with y = num/det, or None when A is
+    singular.  ``rows`` is overwritten."""
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        top = rows[k]
+        piv = top[k]
+        for r in rows[k + 1:]:
+            rk = r[k]
+            r[k] = 0
+            for j in range(k + 1, n + 1):
+                r[j] = (piv * r[j] - rk * top[j]) // prev
+        prev = piv
+    # The last pivot is det A up to sign and det*y is an integer vector,
+    # so back substitution divides exactly.
+    det = prev
+    num = [0] * n
+    for i in range(n - 1, -1, -1):
+        r = rows[i]
+        num[i] = (det * r[n] - sum(r[j] * num[j] for j in range(i + 1, n))) // r[i]
+    return num, det
+
+
 class ExtensionField:
     """A simple algebraic extension of ``base`` by a root of ``minpoly``.
 
     ``minpoly`` is a monic coefficient list (low-to-high) over ``base``,
     assumed irreducible there.  Elements are tuples of ``degree`` base
-    elements, so tuples of ``Fraction`` when ``base`` is Q; a product in
-    such a field runs on integers over one common denominator.
+    elements, so tuples of ``Fraction`` when ``base`` is Q.  In such a
+    field ``mul``, ``inv`` and ``cauchy_product`` (the series product) run
+    on integers, and every product is reduced by ``from_int``.
     Constructing a field finds no roots: its numeric embeddings
     are computed on first use by ``embeddings()`` and kept.  The first of
     them is the canonical embedding, the one ``to_mpc`` uses by default.
@@ -305,7 +355,7 @@ class ExtensionField:
         self._red = self._reduction_table()
         if base is QQ:
             # The same table as integer rows over one common denominator,
-            # for the integer kernel of ``mul``.
+            # for the integer reduction of ``from_int``.
             self._red_den = lcm(*(c.denominator for row in self._red.values()
                                   for c in row))
             self._red_int = [[c.numerator * (self._red_den // c.denominator)
@@ -383,29 +433,11 @@ class ExtensionField:
     def mul(self, a, b):
         base, d = self.base, self.degree
         if base is QQ:
-            # Over Q: scale each operand to integers over the lcm of its
-            # denominators, multiply and reduce in int, and normalize once
-            # per output coordinate (Cohen, A Course in Computational
-            # Algebraic Number Theory, 4.2).
-            da = lcm(*(x.denominator for x in a))
-            db = lcm(*(y.denominator for y in b))
-            na = [x.numerator * (da // x.denominator) for x in a]
-            nb = [y.numerator * (db // y.denominator) for y in b]
+            da, na = int_coords(a)
+            db, nb = int_coords(b)
             prod = [0] * (2 * d - 1)
-            for i, x in enumerate(na):
-                if x:
-                    for j, y in enumerate(nb):
-                        prod[i + j] += x * y
-            den = da * db
-            out = prod[:d]
-            if any(prod[d:]):
-                den *= self._red_den
-                out = [self._red_den * c for c in out]
-                for c, row in zip(prod[d:], self._red_int):
-                    if c:
-                        for i, r in enumerate(row):
-                            out[i] += c * r
-            return tuple(Fraction(n, den) for n in out)
+            convolve_into(prod, na, nb)
+            return self.from_int(prod, da * db)
         prod = [base.zero()] * (2 * d - 1)
         for i, x in enumerate(a):
             if base.is_zero(x):
@@ -421,13 +453,84 @@ class ExtensionField:
             out = [base.add(out[i], base.mul(c, red[i])) for i in range(d)]
         return tuple(out)
 
+    def _reduce_int(self, prod):
+        """(out, scale): out/scale is the remainder of the integer
+        polynomial ``prod`` (2*degree - 1 coefficients) by the minimal
+        polynomial, from one pass over the integer reduction table."""
+        d = self.degree
+        if not any(prod[d:]):
+            return prod[:d], 1
+        scale = self._red_den
+        out = [scale * c for c in prod[:d]]
+        for c, row in zip(prod[d:], self._red_int):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return out, scale
+
+    def from_int(self, prod, den):
+        """The element prod(gen)/den of a field over Q, for an integer
+        polynomial ``prod`` of 2*degree - 1 coefficients and a positive
+        integer ``den``: reduced on integers, then normalized once per
+        coordinate (Cohen, A Course in Computational Algebraic Number
+        Theory, 4.2).  The one reduction step of every product over Q."""
+        out, scale = self._reduce_int(prod)
+        den *= scale
+        return tuple(Fraction(n, den) for n in out)
+
+    def cauchy_product(self, a, b, trunc):
+        """The coefficients of the product of two series over a field over
+        Q, given as dicts exponent -> element: the sum of a[e1]*b[e2] over
+        e1 + e2 = e for each e < trunc, without the zero sums.  Each
+        coefficient is turned into integers once, the pairs of one
+        exponent are summed on integers over one denominator, and each sum
+        is reduced once by ``from_int``."""
+        ia = [(e, *int_coords(c)) for e, c in a.items()]
+        ib = [(e, *int_coords(c)) for e, c in b.items()]
+        pairs = {}
+        for e1, d1, n1 in ia:
+            for e2, d2, n2 in ib:
+                if e1 + e2 < trunc:
+                    pairs.setdefault(e1 + e2, []).append((d1 * d2, n1, n2))
+        out = {}
+        for e, group in pairs.items():
+            den = lcm(*(dd for dd, _, _ in group))
+            prod = [0] * (2 * self.degree - 1)
+            for dd, n1, n2 in group:
+                k = den // dd
+                convolve_into(prod, n1 if k == 1 else [k * x for x in n1], n2)
+            c = self.from_int(prod, den)
+            if any(c):
+                out[e] = c
+        return out
+
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
-        g, s, _ = ugcdext(self.base, utrim(self.base, list(a)), list(self.minpoly))
-        if len(g) != 1:
+        if self.base is not QQ:
+            g, s, _ = ugcdext(self.base, utrim(self.base, list(a)),
+                              list(self.minpoly))
+            if len(g) != 1:
+                raise ArithmeticError("minimal polynomial is not irreducible")
+            return self.from_vec(s)
+        # Over Q, a*x = 1 is M x = e_0, where column j of M holds the
+        # coordinates of a*gen^j.  That column is c_j*v_j with v_j a
+        # primitive integer vector; V y = e_0 is solved on integers and
+        # x_j = y_j/c_j.  M is singular exactly when a is a zero divisor.
+        d = self.degree
+        da, na = int_coords(a)
+        cols, factors = [], []
+        for j in range(d):
+            out, scale = self._reduce_int([0] * j + na + [0] * (d - 1 - j))
+            g = gcd(*out) or 1
+            cols.append([c // g for c in out])
+            factors.append((da * scale, g))
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(d)]
+        solved = solve_fraction_free(rows)
+        if solved is None:
             raise ArithmeticError("minimal polynomial is not irreducible")
-        return self.from_vec(s)
+        y, det = solved
+        return tuple(Fraction(n * s, det * g) for n, (s, g) in zip(y, factors))
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

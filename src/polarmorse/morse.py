@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .fields import DEFAULT_TOWER_CAP, coerce, conj_key, on_grid
+from .fields import DEFAULT_TOWER_CAP, EMBED_DPS, coerce, conj_key, on_grid
 from .poly import Poly, common_zeros, minpoly_over
 from .polar import (GenericityError, LinearForm, PointClass, check_genericity,
                     draw_generic_ell, polar_equation, singular_locus)
@@ -292,10 +292,13 @@ def _orbit_individuals(a):
     order.  There is one location per embedding of the point field K, its
     coordinates under that embedding; a finite alpha contributes, at each
     embedding, its distinct values under the embeddings of its own field
-    that extend it (its conjugates over K)."""
+    that extend it (its conjugates over K).  Every number is evaluated at
+    the digits of the embeddings before it is rounded to the ``conj_key``
+    grid: at fewer, a residue with large coefficients can miss the grid,
+    and the grid value would depend on the field's presentation."""
     K, F = a.point.field, a.alpha_field
     out = []
-    with mpmath.workdps(40):
+    with mpmath.workdps(EMBED_DPS):
         for emb in K.embeddings():
             loc = tuple(on_grid(K.to_mpc(c, emb)) for c in a.point.coords)
             if a.alpha_kind == "infinite":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import coerce, rat
+from .fields import QQ, coerce, rat
 from .poly import substitute
 
 
@@ -105,6 +105,9 @@ class LaurentSeries:
         other = self._match(other)
         f = self.field
         trunc = min(self.trunc + other._low(), other.trunc + self._low())
+        if f.base is QQ:
+            return LaurentSeries(f, f.cauchy_product(self.coeffs, other.coeffs, trunc),
+                                 trunc)
         coeffs = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():

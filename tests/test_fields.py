@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from polarmorse import fields
 from polarmorse.fields import (DEFAULT_TOWER_CAP, EMBED_DPS, QQ, ExtensionField,
                                ExtensionTooLarge, conj_key, poly_roots, rat,
-                               udivmod, ugcd, umul, utrim)
+                               udivmod, ugcd, ugcdext, umul, utrim)
 
 rationals = st.builds(rat, st.integers(-50, 50), st.integers(1, 20))
 
@@ -210,6 +210,44 @@ def test_mul_over_q_matches_reference(case):
     assert all(type(c) is Fraction for c in got)
     zero = K.mul(a, K.zero())
     assert zero == K.zero() and all(type(c) is Fraction for c in zero)
+
+
+def reference_inv(K, a):
+    """The inverse of a in K from the extended Euclid of a and the minimal
+    polynomial, or None when their gcd is not 1 (a is a zero divisor)."""
+    g, s, _ = ugcdext(K.base, utrim(K.base, list(a)), list(K.minpoly))
+    return K.from_vec(s) if len(g) == 1 else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_and_elements())
+def test_inv_over_q_matches_reference(case):
+    K, a, _ = case
+    assume(not K.is_zero(a))
+    want = reference_inv(K, a)
+    if want is None:
+        with pytest.raises(ArithmeticError):
+            K.inv(a)
+        return
+    got = K.inv(a)
+    assert got == want
+    assert all(type(c) is Fraction for c in got)
+
+
+def test_inv_of_zero_and_of_zero_divisors():
+    K = sqrt2_field()
+    with pytest.raises(ZeroDivisionError):
+        K.inv(K.zero())
+    # t^3 - 1 = (t - 1)(t^2 + t + 1) and t^2 + t = t(t + 1)
+    cube = ExtensionField(QQ, "t", [rat(-1), rat(0), rat(0), rat(1)])
+    with pytest.raises(ArithmeticError):
+        cube.inv(cube.from_vec([rat(-1), rat(1)]))
+    assert cube.mul(cube.gen(), cube.inv(cube.gen())) == cube.one()
+    split = ExtensionField(QQ, "t", [rat(0), rat(1), rat(1)])
+    with pytest.raises(ArithmeticError):
+        split.inv(split.gen())
+    with pytest.raises(ArithmeticError):
+        split.inv(split.from_vec([rat(1, 3), rat(1, 3)]))
 
 
 @given(st.lists(rationals, min_size=4, max_size=4),

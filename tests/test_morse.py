@@ -116,6 +116,23 @@ def grid_points(points):
     return out
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_individual_locations_read_at_embedding_digits(seed):
+    """An individual's location is on the grid of its coordinates evaluated
+    at the digits of the embeddings.  At 40 digits, the y coordinates of
+    this input's degree-7 affine orbit miss that grid by 169 units."""
+    f = parse_poly("1/3*x*y^3 - 3/4*x^3 + 8*x^2*y + 9/7*x^2 - 3/8*x*y"
+                   " - 1/2*y^2 - 2*y", ("x", "y"))
+    report = analyze_symbolic(f, seed=seed)
+    orbits = [a for a in report.attractors
+              if len(a.point.coords) == 2 and a.point.field.total_degree == 7]
+    assert orbits
+    for a in orbits:
+        keys = {tuple(conj_key(z) for z in ind.location)
+                for ind in report.individuals if ind.parent is a}
+        assert keys == grid_points([a.point])
+
+
 def check_candidates(f, seed):
     """One elimination finds the points of two, and each m is the index."""
     try:

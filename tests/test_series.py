@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -115,6 +117,76 @@ def test_inverse_is_exact(field, data):
     prod = a * inv
     assert prod.trunc > 0
     assert prod == LaurentSeries.const(field, field.one(), prod.trunc)
+
+
+# Q(theta) for a cubic with non-integer coefficients and a non-unit leading
+# coefficient, and Q(sqrt2)(b) with b^2 = sqrt2.
+CUBIC = ExtensionField(QQ, "t", [rat(3, 2), rat(-1, 3), rat(0), rat(5, 7)])
+TOWER = ExtensionField(SQRT2, "b", [SQRT2.neg(SQRT2.gen()), SQRT2.zero(),
+                                    SQRT2.one()])
+
+
+def reference_product(a, b):
+    """a*b by the schoolbook sum of c1*c2 over every pair of stored
+    coefficients below the truncation, zero sums dropped."""
+    f = a.field
+    trunc = min(a.trunc + b._low(), b.trunc + a._low())
+    coeffs = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            if e1 + e2 < trunc:
+                coeffs[e1 + e2] = f.add(coeffs.get(e1 + e2, f.zero()),
+                                        f.mul(c1, c2))
+    return LaurentSeries(f, {e: c for e, c in coeffs.items()
+                             if not f.is_zero(c)}, trunc)
+
+
+def field_element(field, draw):
+    if field is QQ:
+        return draw(st.builds(rat, st.integers(-9, 9), st.integers(1, 9)))
+    if field is TOWER:
+        return TOWER.from_vec([field_element(SQRT2, draw),
+                               field_element(SQRT2, draw)])
+    n = draw(st.integers(0, field.degree))
+    return field.from_vec([draw(st.builds(rat, st.integers(-2 ** 40, 2 ** 40),
+                                          st.integers(1, 30)))
+                           for _ in range(n)])
+
+
+def random_series(field, draw):
+    items = draw(st.lists(st.integers(-3, 8), max_size=6))
+    return make_series(field, [(e, field_element(field, draw)) for e in items],
+                       draw(st.integers(1, 10)))
+
+
+@pytest.mark.parametrize("field", [CUBIC, TOWER, QQ], ids=["cubic", "tower", "QQ"])
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_product_matches_schoolbook(field, data):
+    a, b = random_series(field, data.draw), random_series(field, data.draw)
+    got, want = a * b, reference_product(a, b)
+    assert got == want and got.trunc == want.trunc
+    assert not any(field.is_zero(c) for c in got.coeffs.values())
+    if field is CUBIC:
+        assert all(type(x) is Fraction for c in got.coeffs.values() for x in c)
+
+
+@pytest.mark.parametrize("field", [CUBIC, TOWER, QQ], ids=["cubic", "tower", "QQ"])
+def test_product_drops_cancelled_coefficient(field):
+    # (u + v s)(w + z s) with u z = -v w: the coefficient of s cancels
+    if field is QQ:
+        u, v, w = rat(2, 3), rat(-5), rat(7, 4)
+    else:
+        g = field.gen()
+        u, v = g, field.add(field.one(), g)
+        w = field.mul(g, g)
+    z = field.neg(field.div(field.mul(v, w), u))
+    a = make_series(field, [(0, u), (1, v), (5, field.one())], 6)
+    b = make_series(field, [(0, w), (1, z)], 4)
+    got = a * b
+    assert got.trunc == 4
+    assert set(got.coeffs) == {0, 2}
+    assert got == reference_product(a, b)
 
 
 def test_poly_at_series_matches_direct_composition():

@@ -7,20 +7,22 @@ its top generator, with entries in the field one level down, so an element
 of a simple extension Q(g) is a tuple of ``Fraction``.  Over Q(g) the hot
 operations run on Python integers: a product is computed over one common
 denominator and normalized once per coordinate, an inverse solves the
-system of multiplication by fraction-free elimination, and the product of
-two series sums all pairs of one exponent before one reduction.  A field
-over an extension uses the operations of its base.  A field is only its
-definition; its numeric embeddings (one complex
-root per generator) are computed on first use and kept, so that elements
-can be approximated, compared against numerics, and serialized
-deterministically.  Numbers are sorted and deduplicated by one key,
-``conj_key``, so no order depends on how a field is presented.  One root
-finder, ``poly_roots``, serves the embeddings here and the oracle's
-start solve: Durand–Kerner in hardware floats gives the start points of
-``mpmath.polyroots`` at the working precision.  Fields are made in one
-place, ``adjoin``: a root of an irreducible polynomial over a field is
-that field's own element when the polynomial is linear, else the
-generator of a new extension.
+system of multiplication by fraction-free elimination, and a series over
+Q(g) (``series.LaurentSeries``) holds each coefficient as (denominator,
+integer coordinates) between operations and shares the integer
+convolution and reduction of the product; ``Fraction`` tuples are built
+only when a coefficient is read.  A field over an extension uses the
+operations of its base.  A field is only its definition; its numeric
+embeddings (one complex root per generator) are computed on first use
+and kept, so that elements can be approximated, compared against
+numerics, and serialized deterministically.  Numbers are sorted and
+deduplicated by one key, ``conj_key``, so no order depends on how a field
+is presented.  One root finder, ``poly_roots``, serves the embeddings
+here and the oracle's start solve: Durand–Kerner in hardware floats gives
+the start points of ``mpmath.polyroots`` at the working precision.
+Fields are made in one place, ``adjoin``: a root of an irreducible
+polynomial over a field is that field's own element when the polynomial
+is linear, else the generator of a new extension.
 """
 
 from __future__ import annotations
@@ -282,7 +284,7 @@ def int_coords(a):
     """(den, integer coordinates) of a tuple of ``Fraction``: den is the
     lcm of the denominators, and a = coordinates/den."""
     den = lcm(*(x.denominator for x in a))
-    return den, [x.numerator * (den // x.denominator) for x in a]
+    return den, tuple(x.numerator * (den // x.denominator) for x in a)
 
 
 def convolve_into(out, na, nb):
@@ -330,8 +332,9 @@ class ExtensionField:
     ``minpoly`` is a monic coefficient list (low-to-high) over ``base``,
     assumed irreducible there.  Elements are tuples of ``degree`` base
     elements, so tuples of ``Fraction`` when ``base`` is Q.  In such a
-    field ``mul``, ``inv`` and ``cauchy_product`` (the series product) run
-    on integers, and every product is reduced by ``from_int``.
+    field ``mul`` and ``inv`` run on integers, and every product, the
+    series product of ``series.LaurentSeries`` included, is reduced by
+    ``_reduce_int``.
     Constructing a field finds no roots: its numeric embeddings
     are computed on first use by ``embeddings()`` and kept.  The first of
     them is the canonical embedding, the one ``to_mpc`` uses by default.
@@ -355,7 +358,7 @@ class ExtensionField:
         self._red = self._reduction_table()
         if base is QQ:
             # The same table as integer rows over one common denominator,
-            # for the integer reduction of ``from_int``.
+            # for the integer reduction of ``_reduce_int``.
             self._red_den = lcm(*(c.denominator for row in self._red.values()
                                   for c in row))
             self._red_int = [[c.numerator * (self._red_den // c.denominator)
@@ -437,7 +440,9 @@ class ExtensionField:
             db, nb = int_coords(b)
             prod = [0] * (2 * d - 1)
             convolve_into(prod, na, nb)
-            return self.from_int(prod, da * db)
+            out, scale = self._reduce_int(prod)
+            den = da * db * scale
+            return tuple(Fraction(n, den) for n in out)
         prod = [base.zero()] * (2 * d - 1)
         for i, x in enumerate(a):
             if base.is_zero(x):
@@ -456,7 +461,10 @@ class ExtensionField:
     def _reduce_int(self, prod):
         """(out, scale): out/scale is the remainder of the integer
         polynomial ``prod`` (2*degree - 1 coefficients) by the minimal
-        polynomial, from one pass over the integer reduction table."""
+        polynomial, from one pass over the integer reduction table (Cohen,
+        A Course in Computational Algebraic Number Theory, 4.2).  The one
+        reduction step of every product over Q, in ``mul``, ``inv`` and the
+        series product."""
         d = self.degree
         if not any(prod[d:]):
             return prod[:d], 1
@@ -467,42 +475,6 @@ class ExtensionField:
                 for i, r in enumerate(row):
                     out[i] += c * r
         return out, scale
-
-    def from_int(self, prod, den):
-        """The element prod(gen)/den of a field over Q, for an integer
-        polynomial ``prod`` of 2*degree - 1 coefficients and a positive
-        integer ``den``: reduced on integers, then normalized once per
-        coordinate (Cohen, A Course in Computational Algebraic Number
-        Theory, 4.2).  The one reduction step of every product over Q."""
-        out, scale = self._reduce_int(prod)
-        den *= scale
-        return tuple(Fraction(n, den) for n in out)
-
-    def cauchy_product(self, a, b, trunc):
-        """The coefficients of the product of two series over a field over
-        Q, given as dicts exponent -> element: the sum of a[e1]*b[e2] over
-        e1 + e2 = e for each e < trunc, without the zero sums.  Each
-        coefficient is turned into integers once, the pairs of one
-        exponent are summed on integers over one denominator, and each sum
-        is reduced once by ``from_int``."""
-        ia = [(e, *int_coords(c)) for e, c in a.items()]
-        ib = [(e, *int_coords(c)) for e, c in b.items()]
-        pairs = {}
-        for e1, d1, n1 in ia:
-            for e2, d2, n2 in ib:
-                if e1 + e2 < trunc:
-                    pairs.setdefault(e1 + e2, []).append((d1 * d2, n1, n2))
-        out = {}
-        for e, group in pairs.items():
-            den = lcm(*(dd for dd, _, _ in group))
-            prod = [0] * (2 * self.degree - 1)
-            for dd, n1, n2 in group:
-                k = den // dd
-                convolve_into(prod, n1 if k == 1 else [k * x for x in n1], n2)
-            c = self.from_int(prod, den)
-            if any(c):
-                out[e] = c
-        return out
 
     def inv(self, a):
         if self.is_zero(a):
@@ -521,7 +493,7 @@ class ExtensionField:
         da, na = int_coords(a)
         cols, factors = [], []
         for j in range(d):
-            out, scale = self._reduce_int([0] * j + na + [0] * (d - 1 - j))
+            out, scale = self._reduce_int((0,) * j + na + (0,) * (d - 1 - j))
             g = gcd(*out) or 1
             cols.append([c // g for c in out])
             factors.append((da * scale, g))

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import make_series
-from polarmorse.fields import QQ, ExtensionField, rat
-from polarmorse.poly import parse_poly
+from polarmorse.fields import QQ, ExtensionField, coerce, rat
+from polarmorse.poly import Poly, parse_poly
 from polarmorse.series import LaurentSeries, SeriesPrecisionLoss, poly_at_series
 
 
@@ -126,19 +127,87 @@ TOWER = ExtensionField(SQRT2, "b", [SQRT2.neg(SQRT2.gen()), SQRT2.zero(),
                                     SQRT2.one()])
 
 
-def reference_product(a, b):
-    """a*b by the schoolbook sum of c1*c2 over every pair of stored
-    coefficients below the truncation, zero sums dropped."""
-    f = a.field
-    trunc = min(a.trunc + b._low(), b.trunc + a._low())
-    coeffs = {}
-    for e1, c1 in a.coeffs.items():
-        for e2, c2 in b.coeffs.items():
+# A test-local reference: a series is (dict exponent -> field element,
+# trunc), and every operation works on field elements, with the
+# truncation rules of ``LaurentSeries``.
+
+def ref_of(s):
+    return dict(s.coeffs), s.trunc
+
+
+def ref_low(a):
+    return min(a[0]) if a[0] else a[1]
+
+
+def ref_nonzero(f, coeffs, trunc):
+    return {e: c for e, c in coeffs.items() if not f.is_zero(c)}, trunc
+
+
+def ref_add(f, a, b):
+    trunc = min(a[1], b[1])
+    out = {}
+    for coeffs, _ in (a, b):
+        for e, c in coeffs.items():
+            if e < trunc:
+                out[e] = f.add(out.get(e, f.zero()), c)
+    return ref_nonzero(f, out, trunc)
+
+
+def ref_neg(f, a):
+    return {e: f.neg(c) for e, c in a[0].items()}, a[1]
+
+
+def ref_mul(f, a, b):
+    """The schoolbook sum of c1*c2 over every pair of stored coefficients
+    below the truncation, zero sums dropped."""
+    trunc = min(a[1] + ref_low(b), b[1] + ref_low(a))
+    out = {}
+    for e1, c1 in a[0].items():
+        for e2, c2 in b[0].items():
             if e1 + e2 < trunc:
-                coeffs[e1 + e2] = f.add(coeffs.get(e1 + e2, f.zero()),
-                                        f.mul(c1, c2))
-    return LaurentSeries(f, {e: c for e, c in coeffs.items()
-                             if not f.is_zero(c)}, trunc)
+                out[e1 + e2] = f.add(out.get(e1 + e2, f.zero()), f.mul(c1, c2))
+    return ref_nonzero(f, out, trunc)
+
+
+def ref_inverse(f, a):
+    """1/a by long division of 1 by u = a*s^-o, known to s^(trunc - 2*o)."""
+    o = min(a[0])
+    u = {e - o: c for e, c in a[0].items()}
+    lead_inv = f.inv(u[0])
+    g = []
+    for n in range(a[1] - o):
+        acc = f.one() if n == 0 else f.zero()
+        for k in range(1, n + 1):
+            if k in u:
+                acc = f.sub(acc, f.mul(u[k], g[n - k]))
+        g.append(f.mul(acc, lead_inv))
+    return ref_nonzero(f, {n - o: c for n, c in enumerate(g)}, a[1] - 2 * o)
+
+
+def ref_poly_at(p, args):
+    """p(args) from one table of powers, as ``poly.substitute`` builds it."""
+    f = p.field
+    trunc = min(a[1] for a in args)
+
+    def const(c):
+        return ref_nonzero(f, {0: c}, trunc)
+
+    pows = [[const(f.one())] for _ in args]
+    out = const(f.zero())
+    for e, c in p.terms.items():
+        t = const(c)
+        for i, n in enumerate(e):
+            if n:
+                pw = pows[i]
+                while len(pw) <= n:
+                    pw.append(ref_mul(f, pw[-1], args[i]))
+                t = ref_mul(f, t, pw[n])
+        out = ref_add(f, out, t)
+    return out
+
+
+def reference_product(a, b):
+    return LaurentSeries(a.field, *ref_mul(a.field, ref_of(a), ref_of(b)))
 
 
 def field_element(field, draw):
@@ -187,6 +256,129 @@ def test_product_drops_cancelled_coefficient(field):
     assert got.trunc == 4
     assert set(got.coeffs) == {0, 2}
     assert got == reference_product(a, b)
+
+
+FIELDS = pytest.mark.parametrize("field", [CUBIC, TOWER, QQ],
+                                 ids=["cubic", "tower", "QQ"])
+
+
+def assert_matches(got, want):
+    """``got`` has the reference's coefficients and truncation, stores no
+    zero, and over Q(theta) holds canonical integer coefficients, read as
+    ``Fraction`` tuples."""
+    f = got.field
+    assert (got.coeffs, got.trunc) == want
+    assert not any(f.is_zero(c) for c in got.coeffs.values())
+    if f.base is QQ:
+        assert all(type(x) is Fraction for c in got.coeffs.values() for x in c)
+        for den, nums in got._terms().values():
+            assert type(nums) is tuple and den > 0 and any(nums)
+            assert gcd(den, *nums) == 1
+
+
+@FIELDS
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_matches_reference(field, data):
+    a, b = random_series(field, data.draw), random_series(field, data.draw)
+    # b takes -a's coefficient at some exponents, so that sums cancel
+    cancel = data.draw(st.sets(st.sampled_from(sorted(a.coeffs) or [0])))
+    b = LaurentSeries(field, {**b.coeffs, **{e: field.neg(a.coeffs[e])
+                                             for e in cancel
+                                             if e in a.coeffs and e < b.trunc}},
+                      b.trunc)
+    c = field_element(field, data.draw)
+    k = data.draw(st.integers(-4, 4))
+    m = LaurentSeries.monomial(field, c, k, data.draw(st.integers(k + 1, 12)))
+    A, B, M = ref_of(a), ref_of(b), ref_of(m)
+
+    def ref_scale(x, c):
+        return ref_nonzero(field, {e: field.mul(v, c) for e, v in x[0].items()},
+                           x[1])
+
+    def ref_shift(x, k):
+        return {e + k: v for e, v in x[0].items()}, x[1] + k
+
+    assert_matches(a + b, ref_add(field, A, B))
+    assert_matches(a - b, ref_add(field, A, ref_neg(field, B)))
+    assert_matches(-a, ref_neg(field, A))
+    assert_matches(a * b, ref_mul(field, A, B))
+    assert_matches(a * m, ref_mul(field, A, M))
+    assert_matches(m * b, ref_mul(field, M, B))
+    assert_matches(a.scale(c), ref_scale(A, c))
+    assert_matches(a.shift(k), ref_shift(A, k))
+    assert_matches(a - a, ({}, a.trunc))
+    # operands that are themselves results, held in the arithmetic's form
+    x = a + b
+    y = -(x * a)
+    z = y.shift(k) - x.scale(c)
+    X = ref_add(field, A, B)
+    Y = ref_neg(field, ref_mul(field, X, A))
+    assert_matches(z, ref_add(field, ref_shift(Y, k),
+                              ref_neg(field, ref_scale(X, c))))
+    assert_matches(z * y, ref_mul(field, ref_of(z), Y))
+
+
+@FIELDS
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_inverse_matches_reference(field, data):
+    a = random_series(field, data.draw)
+    assume(not a.is_zero_shown())
+    assert_matches(a.inverse(), ref_inverse(field, ref_of(a)))
+    b = a.shift(2) + a.shift(2)
+    assert_matches(b.inverse(), ref_inverse(field, ref_of(b)))
+
+
+@pytest.mark.parametrize("field, sub", [(CUBIC, QQ), (SQRT2, QQ), (TOWER, SQRT2),
+                                        (TOWER, QQ)],
+                         ids=["cubic/QQ", "sqrt2/QQ", "tower/sqrt2", "tower/QQ"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_to_field_matches_reference(field, sub, data):
+    a, b = random_series(sub, data.draw), random_series(field, data.draw)
+    for s in (a, a + a):
+        want = ({e: coerce(field, sub, c) for e, c in s.coeffs.items()}, s.trunc)
+        got = s.to_field(field)
+        assert_matches(got, want)
+        assert_matches(got * b, ref_mul(field, want, ref_of(b)))
+
+
+def random_poly(field, draw):
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        e = (draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+        c = field_element(field, draw)
+        if not field.is_zero(c):
+            terms[e] = c
+    return Poly(field, 2, terms)
+
+
+@FIELDS
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_poly_at_series_matches_reference(field, data):
+    args = (random_series(field, data.draw), random_series(field, data.draw))
+    refs = tuple(map(ref_of, args))
+    for p in (random_poly(field, data.draw), Poly.zero(field, 2),
+              Poly.const(field, 2, field.from_rat(rat(-3, 4)))):
+        assert_matches(poly_at_series(p, args), ref_poly_at(p, refs))
+
+
+def test_hash_ignores_the_truncation_as_eq_does():
+    a, b = LaurentSeries(QQ, {0: rat(1)}, 5), LaurentSeries(QQ, {0: rat(1)}, 6)
+    assert a == b and hash(a) == hash(b)
+
+
+@FIELDS
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_hash_agrees_with_eq(field, data):
+    a = random_series(field, data.draw)
+    held = a.shift(1).shift(-1)
+    fresh = LaurentSeries(field, dict(a.coeffs), a.trunc + 3)
+    assert hash(fresh) == hash(held) and fresh == held
+    assert len({fresh, held, a}) == 1
 
 
 def test_poly_at_series_matches_direct_composition():

@@ -5,7 +5,10 @@ t, by ``poly.common_zeros``, which gives exact residues of both
 coordinates mod each factor of a resultant, plus ``fields.poly_roots``
 (multiprecision Durand–Kerner seeded from hardware floats) on each
 factor, takes the points in ``conj_key`` order, and carries each solution
-down the schedule by predictor-corrector continuation.
+down the schedule by predictor-corrector continuation; with f, ell and t
+real, one path per conjugate pair, mirrored bit for bit onto the other, as
+each operation of a step commutes with conjugation (negation is exact,
+and float and mpmath arithmetic round symmetrically).
 Each trajectory is classified as converging to an affine attractor or
 escaping to a direction at infinity (with its f-limit), and the cluster
 sizes are diffed against the symbolic indices.  Nothing here reuses
@@ -311,7 +314,10 @@ def _track(f, ell, fine, precision):
     """Solve once at fine[0] and carry every critical point through the
     later values of ``fine``: one list of points per trajectory, in the
     order of ``critical_points``, or None when some step fails or two
-    paths merge."""
+    paths merge.  Of two start points that are exact conjugates at the
+    working precision, only the first is carried; each of its new points
+    is conjugated onto the second's path, which is then bit for bit the
+    path ``_carry`` would give it, as long as both have the same gap."""
     fx, fy = f.diff(0), f.diff(1)
     polys = (fx, fy, fx.diff(0), fx.diff(1), fy.diff(1))
     trajectories = [[p] for p in critical_points(f, ell, fine[0], precision).points]
@@ -325,15 +331,27 @@ def _track(f, ell, fine, precision):
         double = None
     with mpmath.workprec(precision):
         system = (polys, _ring(values, _to_mpf, precision), double)
+        # i -> j when point j is the exact conjugate of point i, j > i
+        index = {tr[0]: i for i, tr in enumerate(trajectories)}
+        pairs = {i: j for i, tr in enumerate(trajectories)
+                 if (j := index.get(tuple(map(mpmath.conj, tr[0])), i)) > i}
         for t, t_next in zip(fine, fine[1:]):
             gaps = _gaps([tr[-1] for tr in trajectories])
             if gaps is None:
                 return None
-            for tr, gap in zip(trajectories, gaps):
+            # a pair whose gaps differ (a point without its partner is
+            # nearer one of them) is carried on its own from here on
+            pairs = {i: j for i, j in pairs.items() if gaps[i] == gaps[j]}
+            mirrors = set(pairs.values())
+            for i, (tr, gap) in enumerate(zip(trajectories, gaps)):
+                if i in mirrors:
+                    continue
                 q = _carry(system, ell, tr[-1], t, t_next, gap)
                 if q is None:
                     return None
                 tr.append(q)
+                if i in pairs:
+                    trajectories[pairs[i]].append(tuple(map(mpmath.conj, q)))
         if _gaps([tr[-1] for tr in trajectories]) is None:
             return None
     return trajectories

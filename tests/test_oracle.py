@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 import signal
@@ -270,7 +271,8 @@ def _reference_gaps(points):
     return gaps
 
 
-def _reference_track(f, ell, fine, precision, double=True, fixed=True):
+def _reference_track(f, ell, fine, precision, double=True, fixed=True,
+                     starts=None):
     """The tracker with separate evaluations, each converting every
     coefficient anew, and every pairwise distance measured from both of its
     ends.  With ``double`` and ``fixed``, a step first tries the float
@@ -278,7 +280,8 @@ def _reference_track(f, ell, fine, precision, double=True, fixed=True):
     Newton refinement in floats, and a corrector at the working precision
     that evaluates only f_x and f_y.  When that fails, or without
     ``fixed``, each Newton at the working precision starts from the
-    refinement in floats (with ``double``) and from the guess."""
+    refinement in floats (with ``double``) and from the guess.  The paths
+    start from ``starts``, or from the points of ``critical_points``."""
     fx, fy = f.diff(0), f.diff(1)
     hessian = (fx.diff(0), fx.diff(1), fy.diff(1))
 
@@ -362,7 +365,8 @@ def _reference_track(f, ell, fine, precision, double=True, fixed=True):
         m = carry(p, t, mid, gap, depth + 1)
         return m and carry(m, mid, t_next, gap, depth + 1)
 
-    trajectories = [[p] for p in critical_points(f, ell, fine[0], precision).points]
+    trajectories = [[p] for p in starts or
+                    critical_points(f, ell, fine[0], precision).points]
     with mpmath.workprec(precision):
         for t, t_next in zip(fine, fine[1:]):
             gaps = _reference_gaps([tr[-1] for tr in trajectories])
@@ -376,18 +380,101 @@ def _reference_track(f, ell, fine, precision, double=True, fixed=True):
 @pytest.mark.parametrize("text", ["x + x^2*y", "x*y + 1/3*x^3*y^2",
                                   "x*y + 1/3*x^3*y^2 + x^6",
                                   "(x^2-2)^2 + (y^2-x)^2",
-                                  "10^320*x^2 + y^2 + x^3"])
+                                  "10^320*x^2 + y^2 + x^3",
+                                  "-3/2*x^5 - x^2*y^3 - y^5",
+                                  "-y^6 - x^3 - x^5"])
 def test_tracked_paths_unchanged(text, ell_xy, monkeypatch):
-    """One table of powers per step and coefficients converted once per
-    ring give exactly the points of separate evaluations, bit for bit.
-    When the double stage fails, as it does for a coefficient beyond the
-    float range, the corrector is the working-precision Newton alone."""
+    """One table of powers per step, coefficients converted once per ring
+    and one path per conjugate pair give exactly the points of separate
+    evaluations on every point, bit for bit.  When the double stage fails,
+    as it does for a coefficient beyond the float range, the corrector is
+    the working-precision Newton alone."""
     f = parse_poly(text, V)
     fine = _refine_schedule(DEFAULT_SCHEDULE)
     assert _track(f, ell_xy, fine, 256) == _reference_track(f, ell_xy, fine, 256)
     monkeypatch.setattr(oracle, "_refine", lambda *args: None)
     assert _track(f, ell_xy, fine, 256) == _reference_track(f, ell_xy, fine, 256,
                                                             double=False)
+
+
+def _count_carries(monkeypatch):
+    """The start points of the top-level ``_carry`` calls from now on, by
+    the value of t they start from."""
+    carry, steps = oracle._carry, {}
+
+    def counted(system, ell, p, t, t_next, gap, depth=0):
+        if depth == 0:
+            steps.setdefault(t, []).append(p)
+        return carry(system, ell, p, t, t_next, gap, depth)
+
+    monkeypatch.setattr(oracle, "_carry", counted)
+    return steps
+
+
+@pytest.mark.parametrize("text, carried", [("-y^6 - x^3 - x^5", 10),
+                                           ("x*y + 1/3*x^3*y^2", 4)])
+def test_one_path_per_conjugate_pair(text, carried, ell_xy, monkeypatch):
+    # the 20 non-real points of -y^6 - x^3 - x^5 are ten conjugate pairs,
+    # each carried once; the quintic's four points are real
+    f = parse_poly(text, V)
+    fine = _refine_schedule(DEFAULT_SCHEDULE)
+    steps = _count_carries(monkeypatch)
+    assert _track(f, ell_xy, fine, 256) is not None
+    assert sorted(steps) == sorted(fine[:-1])
+    assert all(len(points) == carried for points in steps.values())
+
+
+def _track_from(f, ell, fine, points, monkeypatch):
+    """``_track`` from the start points ``points``, with the start points of
+    its top-level ``_carry`` calls by step, and the tracker's paths from
+    the same points carried each on its own."""
+    monkeypatch.setattr(oracle, "critical_points",
+                        lambda *args: oracle.CriticalSet(tuple(points)))
+    steps = _count_carries(monkeypatch)
+    tracked = _track(f, ell, fine, 256)
+    assert tracked == _reference_track(f, ell, fine, 256, starts=points)
+    return steps
+
+
+def test_conjugate_pairs_are_exact(ell_xy, monkeypatch):
+    # a point off its partner's conjugate by one ulp at the working
+    # precision is no partner: both are carried on their own, the other
+    # nine pairs once each
+    f = parse_poly("-y^6 - x^3 - x^5", V)
+    fine = _refine_schedule(DEFAULT_SCHEDULE)
+    points = list(critical_points(f, ell_xy, fine[0]).points)
+    with mpmath.workprec(256):
+        (x, y), partner = points[0], tuple(map(mpmath.conj, points[0]))
+        man, exp = x.imag.man_exp
+        ulp = mpmath.ldexp(1, exp + man.bit_length() - 256)
+        points[0] = (mpmath.mpc(x.real, x.imag + ulp), y)
+    assert points[0] != (x, y) and partner in points
+    steps = _track_from(f, ell_xy, fine, points, monkeypatch)
+    assert points[0] in steps[fine[0]] and partner in steps[fine[0]]
+    assert [len(steps[t]) for t in fine[:-1]] == [11] * (len(fine) - 1)
+
+
+def test_pair_with_unequal_gaps_is_carried_apart(ell_xy, monkeypatch):
+    # a point i moved by 2^-20 of the way to a non-real point k it is
+    # nearest to brings k's gap below that of conj(k): the pair of k is
+    # carried on its own too, and so is that of i
+    f = parse_poly("-y^6 - x^3 - x^5", V)
+    fine = _refine_schedule(DEFAULT_SCHEDULE)
+    points = list(critical_points(f, ell_xy, fine[0]).points)
+    assert len(points) == 20
+    with mpmath.workprec(256):
+        conj = [tuple(map(mpmath.conj, p)) for p in points]
+        gaps = oracle._gaps(points)
+        k, i = next((k, i) for k, i in itertools.permutations(range(20), 2)
+                    if conj[k] != points[k] and conj[k] != points[i]
+                    and _dist(points[k], points[i]) == gaps[k])
+        points[i] = tuple(c + (d - c) * mpmath.ldexp(1, -20)
+                          for c, d in zip(points[i], points[k]))
+        gaps = oracle._gaps(points)
+    assert gaps[k] != gaps[points.index(conj[k])]
+    steps = _track_from(f, ell_xy, fine, points, monkeypatch)
+    assert all(p in steps[fine[0]]
+               for p in (points[k], conj[k], points[i], conj[i]))
 
 
 @pytest.mark.parametrize("text", ["x + x^2*y", "x*y + 1/3*x^3*y^2 + x^6",

@@ -13,19 +13,23 @@ Each trajectory is classified as converging to an affine attractor or
 escaping to a direction at infinity (with its f-limit), and the cluster
 sizes are diffed against the symbolic indices.  Nothing here reuses
 series expansions: the oracle is an independent route to the same counts.
-A step is an Euler predictor, Newton in hardware floats, then a corrector
-at the working precision.  The float stage carries the step: the
-predictor's tangent comes from the Hessian inverted in floats, and the
-corrector applies the float inverse of the Hessian at the refined point,
-so the working precision evaluates only f_x and f_y and makes the update
-(iterative refinement, about 50 bits per iteration).  Distances between
-points are measured in floats unless they are at float round-off.  When
-the float stage fails (no float ring, t below the float range, the float
-Newton does not converge, the float Hessian is singular or not finite, or
-the fixed-inverse corrector does not converge within NEWTON_STEPS, as at
-a working precision too high for 50 bits per iteration to reach), the
-step is full Newton at the working precision from the refined point, or
-from the predictor's guess when that fails.  Every numeric evaluation goes through ``poly.substitute``: a Newton step
+A step is one routine: an Euler predictor, one Newton refinement in
+hardware floats, then a corrector at the working precision.  The
+predictor's tangent comes from the Hessian inverted in floats, or at the
+working precision when it has no float inverse.  The corrector applies
+the float inverse of the Hessian at the refined point, so the working
+precision evaluates only f_x and f_y and makes the update (iterative
+refinement, about 50 bits per iteration).  Where that inverse does not
+exist or the corrector does not converge within NEWTON_STEPS (as at a
+working precision too high for 50 bits per iteration to reach), full
+Newton at the working precision runs from the refined point; when the
+result is not within a quarter of the distance to the nearest other
+path, or the refinement did not run (no float ring, t below the float
+range, the float Newton does not converge), from the predictor's guess.
+The step is halved when neither result is accepted.  Distances between
+points are measured in floats unless they are at float round-off.  A
+mismatch prints an end's x coordinate with its round-off parts as 0.
+Every numeric evaluation goes through ``poly.substitute``: a Newton step
 evaluates the gradient and the Hessian of f together, from one table of
 powers, with the coefficients converted once per track in each ring.
 """
@@ -252,42 +256,39 @@ def _refine(system, p, t_next, target):
 def _carry(system, ell, p, t, t_next, gap, depth=0):
     """The point at t_next on the path through p at t, or None.
 
-    The float stage: the Euler predictor p + (t_next - t) H^-1 (a, b),
-    with H^-1 inverted in floats, then ``_refine``, then ``_correct`` at the
-    working precision with the float inverse of the Hessian at the refined
-    point.  When the
-    float stage does not run or any of these fails (``_correct`` also when
-    it cannot reach 2^(-prec/2) within NEWTON_STEPS), the step is Newton at
-    the working precision: the predictor with the Hessian at that precision,
-    ``_refine``, then ``_newton`` from the refined point, or from the
-    predictor's guess when that fails.  The step is accepted when the
-    corrector converges within a quarter of ``gap``, the distance from p to
-    its nearest neighbour, of the guess (both distances from ``_dist``);
-    otherwise it is halved, at most MAX_HALVINGS deep."""
+    One predictor: the Euler guess p + (t_next - t) H^-1 (a, b), with H^-1
+    inverted in floats, or at the working precision when ``_float_inverse``
+    gives none at p.  One ``_refine`` of the guess.  Then the correctors,
+    in order: from the refined point, ``_correct`` with the float inverse
+    of the Hessian there, or ``_newton`` when that inverse does not exist
+    or ``_correct`` gives up; then ``_newton`` from the guess.  The first
+    result within a quarter of ``gap``, the distance from p to its nearest
+    neighbour, of the guess (both distances from ``_dist``) is the step;
+    otherwise the step is halved, at most MAX_HALVINGS deep."""
     polys, mp, double = system
     convert, lift, _, _ = mp
-    dt = convert(t_next - t)
-    target = (t_next * ell.a, t_next * ell.b)
     tangent = _float_inverse(system, p)
     if tangent:
         i11, i12, i22 = tangent
         a, b = double[1](ell.a), double[1](ell.b)
-        guess = (p[0] + dt * (i11 * a + i12 * b), p[1] + dt * (i12 * a + i22 * b))
+        v = (i11 * a + i12 * b, i12 * a + i22 * b)
+    else:
+        v = _hessian_solve(*substitute(polys[2:], p, lift), lift(ell.a),
+                           lift(ell.b))
+    if v is not None:
+        dt = convert(t_next - t)
+        guess = (p[0] + dt * v[0], p[1] + dt * v[1])
+        target = (t_next * ell.a, t_next * ell.b)
         refined = _refine(system, guess, t_next, target)
         inverse = refined and _float_inverse(system, refined)
-        if inverse:
-            q = _correct(polys, mp, refined, inverse, target)
-            if q is not None and _dist(q, guess) < gap / 4:
-                return q
-    v = _hessian_solve(*substitute(polys[2:], p, lift), lift(ell.a),
-                       lift(ell.b))
-    if v is not None:
-        guess = (p[0] + dt * v[0], p[1] + dt * v[1])
-        refined = _refine(system, guess, t_next, target)
-        for start in (refined, guess) if refined else (guess,):
-            q = _newton(polys, mp, start, target)
-            if q is not None and _dist(q, guess) < gap / 4:
-                return q
+        q = inverse and _correct(polys, mp, refined, inverse, target)
+        if q is None and refined:
+            q = _newton(polys, mp, refined, target)
+        if q is not None and _dist(q, guess) < gap / 4:
+            return q
+        q = _newton(polys, mp, guess, target)
+        if q is not None and _dist(q, guess) < gap / 4:
+            return q
     if depth == MAX_HALVINGS:
         return None
     mid = (t + t_next) / 2
@@ -397,7 +398,7 @@ def classify_trajectories(f, ell, schedule, report, precision=256):
         label = _classify_one(f, fine, tr, individuals, r_affine, ang_tol)
         if label is None:
             mismatches.append("unclassified trajectory ending at %s"
-                              % (mpmath.nstr(tr[-1][0], 8),))
+                              % _end_text(tr[-1], precision))
             continue
         observed[label] += 1
 
@@ -408,6 +409,18 @@ def classify_trajectories(f, ell, schedule, report, precision=256):
                 % (i, ind.parent.kind, observed[i], ind.parent.index))
     matched = not mismatches
     return OracleVerdict(tuple(schedule), observed, matched, mismatches)
+
+
+def _end_text(p, precision):
+    """The x coordinate of the end p to 8 digits, with each part of it
+    below 2^(-precision/4) of p's size, the merge tolerance of ``_gaps``,
+    printed as 0: such a part is round-off, and its digits would depend on
+    the tracker's arithmetic."""
+    with mpmath.workprec(precision):
+        floor = mpmath.ldexp(max(abs(p[0]), abs(p[1])), -(precision // 4))
+        x = mpmath.mpc(*(c if abs(c) >= floor else 0
+                         for c in (p[0].real, p[0].imag)))
+        return mpmath.nstr(x if isinstance(p[0], mpmath.mpc) else x.real, 8)
 
 
 def _classify_one(f, schedule, tr, individuals, r_affine, ang_tol):

@@ -227,19 +227,10 @@ class Poly:
         """Substitute 1 for variable i (input must be homogeneous)."""
         if not self.is_homogeneous():
             raise ValueError("dehomogenize requires a homogeneous polynomial")
-        f = self.field
-        terms = {}
-        for e, c in self.terms.items():
-            e2 = e[:i] + e[i + 1:]
-            if e2 in terms:
-                s = f.add(terms[e2], c)
-                if f.is_zero(s):
-                    del terms[e2]
-                else:
-                    terms[e2] = s
-            else:
-                terms[e2] = c
-        return Poly(f, self.arity - 1, terms)
+        # dropping one exponent of a homogeneous polynomial's terms is
+        # injective: no two terms merge
+        return Poly(self.field, self.arity - 1,
+                    {e[:i] + e[i + 1:]: c for e, c in self.terms.items()})
 
     def is_homogeneous(self):
         degs = {sum(e) for e in self.terms}

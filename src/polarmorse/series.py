@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import QQ, coerce, convolve_into, int_coords, rat
+from .fields import QQ, convolve_into, int_coords, rat
 from .poly import substitute
 
 
@@ -74,8 +74,8 @@ class LaurentSeries:
     which coefficients are unknown.
 
     Over a simple extension of Q the terms are held as exponent ->
-    (den, integer coordinates), and ``coeffs``, ``coeff`` and ``__str__``
-    build ``Fraction`` tuples from them when read; ``order``, ``_low`` and
+    (den, integer coordinates), and ``coeffs`` and ``coeff`` build
+    ``Fraction`` tuples from them when read; ``order``, ``_low`` and
     ``is_zero_shown`` read only the exponents."""
 
     __slots__ = ("field", "trunc", "_coeffs", "_ints")
@@ -159,15 +159,6 @@ class LaurentSeries:
     def _low(self):
         """Lowest known exponent for truncation bookkeeping."""
         return min(self._exponents()) if self._exponents() else self.trunc
-
-    # -- field coercion ---------------------------------------------------
-    def to_field(self, target):
-        if target is self.field:
-            return self
-        return LaurentSeries(
-            target,
-            {e: coerce(target, self.field, c) for e, c in self.coeffs.items()},
-            self.trunc)
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other):
@@ -260,8 +251,6 @@ class LaurentSeries:
         if n == 0:
             return LaurentSeries.const(f, f.one(), self.trunc - self._low() + 1
                                        if self._exponents() else self.trunc)
-        if n < 0:
-            return self.inverse() ** (-n)
         out = None
         acc = self
         while n:
@@ -302,30 +291,6 @@ class LaurentSeries:
         c = self.field.from_rat(rat(other))
         return LaurentSeries.const(self.field, c, self.trunc)
 
-    def __eq__(self, other):
-        """Equal fields and coefficients; the truncation is not compared."""
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        # Canonical integer coordinates, and tuples of reduced Fractions,
-        # are equal exactly when the coefficients are.
-        return self.field is other.field and self._terms() == other._terms()
-
-    def __hash__(self):
-        return hash(frozenset(self._terms().items()))
-
-    def __str__(self):
-        if not self._exponents():
-            return "O(s^%d)" % self.trunc
-        parts = []
-        for e in sorted(self.coeffs):
-            c = self.field.elem_str(self.coeffs[e])
-            if e == 0:
-                parts.append(c)
-            elif e == 1:
-                parts.append("(%s)*s" % c)
-            else:
-                parts.append("(%s)*s^%d" % (c, e))
-        return " + ".join(parts) + " + O(s^%d)" % self.trunc
 
 
 def poly_at_series(p, args):

@@ -6,7 +6,7 @@ import pathlib
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from polarmorse import cli, morse
+from polarmorse import cli, fields, morse
 from polarmorse.fields import rat
 from polarmorse.morse import analyze_symbolic
 from polarmorse.oracle import DEFAULT_SCHEDULE, classify_trajectories
@@ -17,9 +17,12 @@ from polarmorse.report import to_json
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDENS = {"cubic": "x + x^2*y", "quintic": "x*y + 1/3*x^3*y^2",
            "sextic": "x*y + 1/3*x^3*y^2 + x^6"}
-# Pinned inputs: the goldens, plus one whose attractor points lie in a
-# tower Q(sqrt 2)(2^(1/4)) rather than a single extension of Q.
-PINNED = dict(GOLDENS, tower="(x^2-2)^2 + (y^2-x)^2")
+# Pinned inputs: the goldens; one whose attractor point has y = 2^(1/4),
+# of degree 4 over Q; and one that builds extensions over Q(sqrt 2): at
+# its quadruple points x = +-sqrt 2 the polar germs have edge polynomials
+# of degree >= 2 over Q(sqrt 2).
+PINNED = dict(GOLDENS, tower="(x^2-2)^2 + (y^2-x)^2",
+              quartic_tower="(x^2-2)^4 + y^4")
 
 
 def run_cli(capsys, *argv):
@@ -231,6 +234,21 @@ def test_canonical_json_pinned(name):
         report.verification = classify_trajectories(f, ell, DEFAULT_SCHEDULE, report)
     expected = (DATA / ("%s.json" % name)).read_text()
     assert to_json(report, cli.VARIABLES) + "\n" == expected
+
+
+def test_quartic_tower_builds_a_tower(monkeypatch):
+    bases = []
+    init = fields.ExtensionField.__init__
+
+    def recorded(self, base, *args):
+        bases.append(base)
+        init(self, base, *args)
+
+    monkeypatch.setattr(fields.ExtensionField, "__init__", recorded)
+    report = analyze_symbolic(parse_poly(PINNED["quartic_tower"], cli.VARIABLES),
+                              ell=LinearForm(rat(1), rat(1)))
+    assert report.morse_number == 21
+    assert sum(base is not fields.QQ for base in bases) == 2
 
 
 def test_tower_over_cap_exit_code(capsys):

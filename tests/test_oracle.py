@@ -9,7 +9,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 from conftest import count_polyval
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from polarmorse import cli, oracle
 from polarmorse.fields import QQ, ExtensionTooLarge, conj_key, rat
@@ -274,14 +274,15 @@ def _reference_gaps(points):
 def _reference_track(f, ell, fine, precision, double=True, fixed=True,
                      starts=None):
     """The tracker with separate evaluations, each converting every
-    coefficient anew, and every pairwise distance measured from both of its
-    ends.  With ``double`` and ``fixed``, a step first tries the float
-    stage: the predictor's tangent and the Hessian's inverse in floats, a
-    Newton refinement in floats, and a corrector at the working precision
-    that evaluates only f_x and f_y.  When that fails, or without
-    ``fixed``, each Newton at the working precision starts from the
-    refinement in floats (with ``double``) and from the guess.  The paths
-    start from ``starts``, or from the points of ``critical_points``."""
+    coefficient anew, every pairwise distance measured from both of its
+    ends, and every corrector run before one is chosen.  A step is the
+    predictor, with its tangent from the Hessian inverted in floats (with
+    ``fixed``) or else at the working precision; a Newton refinement in
+    floats (with ``double``); from the refined point, a corrector at the
+    working precision that evaluates only f_x and f_y with the float
+    inverse of the Hessian there (with ``fixed``), or full Newton when that
+    fails; then full Newton from the guess.  The paths start from
+    ``starts``, or from the points of ``critical_points``."""
     fx, fy = f.diff(0), f.diff(1)
     hessian = (fx.diff(0), fx.diff(1), fy.diff(1))
 
@@ -340,23 +341,26 @@ def _reference_track(f, ell, fine, precision, double=True, fixed=True,
 
     def carry(p, t, t_next, gap, depth=0):
         dt = _to_mpf(t_next - t)
-        tangent = double and fixed and float_inverse(p)
+        tangent = fixed and float_inverse(p)
         if tangent:
             a, b = float(ell.a), float(ell.b)
-            guess = (p[0] + dt * (tangent[0] * a + tangent[1] * b),
-                     p[1] + dt * (tangent[1] * a + tangent[2] * b))
-            refined = refine(guess, t_next)
-            inverse = refined and float_inverse(refined)
-            if inverse:
-                q = correct(refined, t_next, inverse)
-                if q is not None and _dist(q, guess) < gap / 4:
-                    return q
-        v = solve(p, _to_mpf(ell.a), _to_mpf(ell.b), _to_mpf)
+            v = (tangent[0] * a + tangent[1] * b, tangent[1] * a + tangent[2] * b)
+        else:
+            v = solve(p, _to_mpf(ell.a), _to_mpf(ell.b), _to_mpf)
         if v is not None:
             guess = (p[0] + dt * v[0], p[1] + dt * v[1])
             refined = refine(guess, t_next)
-            for start in ([refined] if refined else []) + [guess]:
-                q = newton(start, t_next, _to_mpf, mpmath.ldexp, mpmath.mp.prec)
+            candidates = []
+            if refined:
+                inverse = fixed and float_inverse(refined)
+                q = correct(refined, t_next, inverse) if inverse else None
+                if q is None:
+                    q = newton(refined, t_next, _to_mpf, mpmath.ldexp,
+                               mpmath.mp.prec)
+                candidates.append(q)
+            candidates.append(newton(guess, t_next, _to_mpf, mpmath.ldexp,
+                                     mpmath.mp.prec))
+            for q in candidates:
                 if q is not None and _dist(q, guess) < gap / 4:
                     return q
         if depth == oracle.MAX_HALVINGS:
@@ -388,7 +392,8 @@ def test_tracked_paths_unchanged(text, ell_xy, monkeypatch):
     and one path per conjugate pair give exactly the points of separate
     evaluations on every point, bit for bit.  When the double stage fails,
     as it does for a coefficient beyond the float range, the corrector is
-    the working-precision Newton alone."""
+    the working-precision Newton alone; without ``_refine`` it is that
+    Newton from the guess of the float tangent."""
     f = parse_poly(text, V)
     fine = _refine_schedule(DEFAULT_SCHEDULE)
     assert _track(f, ell_xy, fine, 256) == _reference_track(f, ell_xy, fine, 256)
@@ -594,9 +599,13 @@ def sparse_sextics(draw):
 
 @settings(max_examples=6, deadline=None)
 @given(sparse_sextics())
+@example(parse_poly("-y^6 - x^3 - x^5", V))
+@example(parse_poly("-y^6 - y^5 - x^4", V))
 def test_float_stage_keeps_verdict(f):
     """The float stage moves no verdict, and the ends of the tracks with
-    and without it agree to 1e-30 of their size."""
+    and without it agree to 1e-30 of their size.  The two examples end an
+    unclassified path at a point with an x part at round-off, which the
+    verdict prints as 0."""
     try:
         rep = analyze_symbolic(f)
     except (GenericityError, ExtensionTooLarge, DegenerateComposition):

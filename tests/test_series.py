@@ -5,13 +5,18 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import make_series
-from polarmorse.fields import QQ, ExtensionField, coerce, rat
+from polarmorse.fields import QQ, ExtensionField, rat
 from polarmorse.poly import Poly, parse_poly
 from polarmorse.series import LaurentSeries, SeriesPrecisionLoss, poly_at_series
 
 
 def series_from(items, trunc=10):
     return make_series(QQ, [(e, rat(c)) for e, c in items], trunc)
+
+
+def shown(s):
+    """A series as what it shows: its coefficients and truncation."""
+    return s.coeffs, s.trunc
 
 
 def laurent_strategy():
@@ -57,13 +62,6 @@ def test_inverse_requires_certified_leading_term():
         LaurentSeries.zero(QQ, 8).inverse()
 
 
-def test_negative_power():
-    s = series_from([(1, 1)], trunc=9)
-    inv2 = s ** (-2)
-    assert inv2.order() == -2
-    assert inv2.coeff(-2) == rat(1)
-
-
 @given(laurent_strategy(), laurent_strategy(), laurent_strategy())
 @example(series_from([(-4, 1)], trunc=12),
          series_from([(2, 1), (-4, -1)], trunc=12),
@@ -74,17 +72,17 @@ def test_ring_identities(a, b, c):
     # than a*c + b*c: they agree up to the smaller truncation
     lhs, rhs = (a + b) * c, a * c + b * c
     if lhs.trunc == rhs.trunc:
-        assert lhs == rhs
+        assert shown(lhs) == shown(rhs)
     else:
         assert (lhs - rhs).is_zero_shown()
-    assert a * b == b * a
+    assert shown(a * b) == shown(b * a)
     assert (a - a).is_zero_shown()
 
 
 @given(laurent_strategy())
 @settings(max_examples=60, deadline=None)
 def test_shift_round_trip(a):
-    assert a.shift(3).shift(-3) == a
+    assert shown(a.shift(3).shift(-3)) == shown(a)
 
 
 SQRT2 = ExtensionField(QQ, "a", [rat(-2), rat(0), rat(1)])
@@ -117,7 +115,7 @@ def test_inverse_is_exact(field, data):
     assert inv.trunc == a.trunc - 2 * a.order()
     prod = a * inv
     assert prod.trunc > 0
-    assert prod == LaurentSeries.const(field, field.one(), prod.trunc)
+    assert prod.coeffs == {0: field.one()}
 
 
 # Q(theta) for a cubic with non-integer coefficients and a non-unit leading
@@ -234,7 +232,7 @@ def random_series(field, draw):
 def test_product_matches_schoolbook(field, data):
     a, b = random_series(field, data.draw), random_series(field, data.draw)
     got, want = a * b, reference_product(a, b)
-    assert got == want and got.trunc == want.trunc
+    assert shown(got) == shown(want)
     assert not any(field.is_zero(c) for c in got.coeffs.values())
     if field is CUBIC:
         assert all(type(x) is Fraction for c in got.coeffs.values() for x in c)
@@ -255,7 +253,7 @@ def test_product_drops_cancelled_coefficient(field):
     got = a * b
     assert got.trunc == 4
     assert set(got.coeffs) == {0, 2}
-    assert got == reference_product(a, b)
+    assert shown(got) == shown(reference_product(a, b))
 
 
 FIELDS = pytest.mark.parametrize("field", [CUBIC, TOWER, QQ],
@@ -330,20 +328,6 @@ def test_inverse_matches_reference(field, data):
     assert_matches(b.inverse(), ref_inverse(field, ref_of(b)))
 
 
-@pytest.mark.parametrize("field, sub", [(CUBIC, QQ), (SQRT2, QQ), (TOWER, SQRT2),
-                                        (TOWER, QQ)],
-                         ids=["cubic/QQ", "sqrt2/QQ", "tower/sqrt2", "tower/QQ"])
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_to_field_matches_reference(field, sub, data):
-    a, b = random_series(sub, data.draw), random_series(field, data.draw)
-    for s in (a, a + a):
-        want = ({e: coerce(field, sub, c) for e, c in s.coeffs.items()}, s.trunc)
-        got = s.to_field(field)
-        assert_matches(got, want)
-        assert_matches(got * b, ref_mul(field, want, ref_of(b)))
-
-
 def random_poly(field, draw):
     terms = {}
     for _ in range(draw(st.integers(0, 4))):
@@ -363,22 +347,6 @@ def test_poly_at_series_matches_reference(field, data):
     for p in (random_poly(field, data.draw), Poly.zero(field, 2),
               Poly.const(field, 2, field.from_rat(rat(-3, 4)))):
         assert_matches(poly_at_series(p, args), ref_poly_at(p, refs))
-
-
-def test_hash_ignores_the_truncation_as_eq_does():
-    a, b = LaurentSeries(QQ, {0: rat(1)}, 5), LaurentSeries(QQ, {0: rat(1)}, 6)
-    assert a == b and hash(a) == hash(b)
-
-
-@FIELDS
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_hash_agrees_with_eq(field, data):
-    a = random_series(field, data.draw)
-    held = a.shift(1).shift(-1)
-    fresh = LaurentSeries(field, dict(a.coeffs), a.trunc + 3)
-    assert hash(fresh) == hash(held) and fresh == held
-    assert len({fresh, held, a}) == 1
 
 
 def test_poly_at_series_matches_direct_composition():

@@ -116,3 +116,9 @@ def test_one_constructor_per_class():
             for around in calls_of(source, "ExtensionField")] == [("fields.py", "adjoin")]
     assert {name for name, source in sources.items()
             if calls_of(source, "PointClass")} == {"polar.py"}
+
+
+def test_one_float_refinement_per_step():
+    # the tracker has one step routine, which refines its guess in floats
+    # once per attempt
+    assert calls_of((SRC / "oracle.py").read_text(), "_refine") == ["_carry"]
